@@ -315,7 +315,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # --- green in r2 (flagship KG path + aggregates) ---
         "kg_turns_sorted": Q.kg_turns_sorted,
         "kg_mentions": Q.kg_mentions,
-        "kg_mentions_model": Q.kg_mentions_model,
         "kg_linked_mentions": Q.kg_linked_mentions,
         "kg_triples": Q.kg_triples,
         "kg_nodes": Q.kg_nodes,
@@ -1337,10 +1336,6 @@ def oracle_sql() -> dict[str, str]:
         "kg_turns_sorted": pre
         + "SELECT conv_id, turn_idx, role, text, tool, ts FROM transcripts_fx",
         "kg_mentions": pre
-        + "SELECT conv_id, turn_idx, mention_id, text, type, start_tok, end_tok FROM mentionsq",
-        # decode-equivalence: the full CombinatorialNER forward provably
-        # reproduces the dictionary tags, so the oracle is identical
-        "kg_mentions_model": pre
         + "SELECT conv_id, turn_idx, mention_id, text, type, start_tok, end_tok FROM mentionsq",
         "kg_linked_mentions": pre
         + "SELECT conv_id, turn_idx, mention_id, text, type, start_tok, end_tok, cui, canonical_name, link_score FROM mentionsq",

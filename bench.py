@@ -7,9 +7,9 @@ JSON line::
     {"metric": "...", "value": N, "unit": "sec", "queries": {...},
      "sf": 0.1, "num_cpus": N}
 
-``--scaling`` runs the headline KG pipeline (crf scorer, sf1 fixture:
-1.6M turns) twice in FRESH processes at num_cpus=4 then 16 on the same
-input and reports throughput at both plus scaling efficiency
+``--scaling`` runs the headline KG pipeline (learned scorer, sf6
+fixture by default) twice in FRESH processes at num_cpus=4 then 16 on
+the same input and reports throughput at both plus scaling efficiency
 ``(T_4 / T_16) / 4`` — the sandbox stand-in for the N vs 4N-node
 cluster criterion in BASELINE.json ``north_rule``. 4/16 rather than
 8/32 because this host has exactly 32 cores: an all-core run competes
@@ -63,10 +63,9 @@ def _consume(ds) -> int:
 def run_kg(sf_dir: str, out_root: str, scorer: str = "dict", sf_name: str | None = None) -> dict:
     """Headline: full transcripts→nodes/edges pipeline over the fixture.
 
-    scorer="crf" swaps in the reference-shaped numpy scorer (identical
-    outputs, model-like per-turn cost); scorer="learned" serves the
-    TRAINED checkpoint (pipelines/train_tagger.py — the reference's
-    actual deployment path, weights determine output) — used for the
+    scorer="dict" tags by greedy dictionary match; scorer="learned"
+    serves the TRAINED checkpoint (pipelines/train_tagger.py — the
+    reference's actual deployment path, weights determine output) — used for the
     scaling criterion so throughput is compute-bound like a real model
     deployment."""
     from biomedical_ner_ray.fixtures import ensure_fixture, sf_name_from_dir
@@ -492,7 +491,7 @@ def main() -> None:
     ap.add_argument("--scaling-lo", type=int, default=4)
     ap.add_argument("--scaling-hi", type=int, default=16)
     ap.add_argument(
-        "--scorer", default="dict", choices=["dict", "crf", "combinatorial", "learned"]
+        "--scorer", default="dict", choices=["dict", "learned"]
     )
     ap.add_argument("--fixture-sf", default=None, help="fixture name override (e.g. sf1)")
     args = ap.parse_args()

@@ -17,9 +17,8 @@ Scope notes (mirrors of the serving scorer, kernels/combinatorial.py):
   and learns a finite score on every ALLOWED transition (``trans_w``,
   zero-init) — torchcrf learns the soft version; the hard mask keeps
   decode outputs structurally valid by construction;
-- training emissions are RAW logits (no tanh bound): the tanh clamp in
-  ``CombinatorialScorer.scores`` exists only for the decode-equivalence
-  mode; the trained scorer serves raw emissions too (``trained=True``).
+- training emissions are RAW logits (no tanh bound), exactly what
+  ``CombinatorialScorer.scores`` serves.
 
 The loss is the standard CRF negative log-likelihood; gradients come
 from forward-backward marginals (emissions) and pairwise marginals

@@ -21,22 +21,14 @@ BiLSTM-CRF: independently gated channels assembled per experiment —
   (``models/models.py:144-146``);
 - linear emission layer + CRF decode (``models/models.py:162-163,189-193``).
 
-This module re-expresses that exact dataflow with numpy kernels and
-fixed seeded weights: every convolution is a real sliding-window
-convolution, every LSTM a real gated recurrence — not the hashed-
-feature cost *analog* in ``kernels/crf.py`` (which remains the default
-streaming-profile scorer). Gates mirror the reference's constructor
-flags one-for-one, including the nesting rule that attention only
-exists under the context-LSTM branch (``models/models.py:136-151``).
-
-DECODE-EQUIVALENCE: the emission head is tanh-bounded to
-``FEATURE_SCALE`` (0.4) exactly like ``crf.py``, and decode adds the
-dictionary prior (+10) before a BIO-constrained Viterbi — so the
-decoded path provably equals the greedy dictionary tags and every
-downstream table (mentions/triples/nodes/edges) stays byte-identical
-regardless of which gates are on. ``kg_mentions_model`` runs the full
-forward through the annotate stage against the *same* SQL oracle as
-``kg_mentions`` to prove it end-to-end.
+This module re-expresses that exact dataflow with numpy kernels:
+every convolution is a real sliding-window convolution, every LSTM a
+real gated recurrence. Gates mirror the reference's constructor flags
+one-for-one, including the nesting rule that attention only exists
+under the context-LSTM branch (``models/models.py:136-151``). Weights
+are seeded at construction and replaced by a checkpoint's FITTED
+weights (pipelines/train_combinatorial.py); emissions are raw logits
+plus a learned score on every BIO-allowed transition (``trans_w``).
 
 Chars are hashed into a fixed bucket table (process-stable crc32)
 rather than a corpus-fitted char vocab so actor state needs no
@@ -48,13 +40,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .crf import (
-    DICT_SCORE,
-    FEATURE_SCALE,
-    batched_decode_harness,
-    bio_tagset,
-    bio_transitions,
-)
+from .crf import batched_decode_harness, bio_tagset, bio_transitions
 
 CHAR_BUCKETS = 128  # hashed char-id space; id 0 = padding
 CHAR_EMBED_DIM = 16
@@ -180,8 +166,7 @@ class CombinatorialScorer:
     and fusion flavor; ``use_*`` gates enable channels. Construction is
     load-once actor state (A1): all weights are drawn here, never per
     batch. ``embedding_table`` accepts the A10 trained-matrix artifact
-    (word → vector); OOV words fall back to deterministic hash vectors,
-    like ``crf.CharFeaturizer``.
+    (word → vector); OOV words fall back to deterministic hash vectors.
     """
 
     def __init__(
@@ -197,10 +182,8 @@ class CombinatorialScorer:
         embedding_table: dict[str, np.ndarray] | None = None,
         embedding_matrix_path: str | None = None,
         checkpoint_path: str | None = None,
-        trained: bool = False,
     ):
         self.tags = bio_tagset(types)
-        self.tag_index = {t: i for i, t in enumerate(self.tags)}
         self.trans = bio_transitions(self.tags)
         self.dataset = dataset
         self.use_char_cnn = use_char_cnn
@@ -276,24 +259,17 @@ class CombinatorialScorer:
         self.out_dim = out_dim
         p["emission_W"] = rng.randn(out_dim, len(self.tags)) * s
         p["emission_b"] = rng.randn(len(self.tags)) * s
-        # TRAINED mode (pipelines/train_combinatorial.py): the
-        # checkpoint carries FITTED weights plus a learned score on
-        # every BIO-ALLOWED transition; emissions serve RAW (the tanh
-        # clamp exists only for decode-equivalence mode) and decode
-        # ignores the dictionary prior — weights decide (the
-        # kernels/learned.py contract, through the full architecture).
-        self.trained = trained
-        if trained:
-            k = len(self.tags)
-            p["trans_w"] = np.zeros((k, k), dtype=np.float64)
+        # learned score on every BIO-ALLOWED transition, added on top of
+        # the hard mask (pipelines/train_combinatorial.py fits it)
+        k = len(self.tags)
+        p["trans_w"] = np.zeros((k, k), dtype=np.float64)
         self.params = p
         self.checkpoint_report: dict | None = None
         if checkpoint_path:
             from ..state.checkpoint import load_into
 
             self.checkpoint_report = load_into(checkpoint_path, self.params)
-        if trained:
-            self.trans = self.trans + self.params["trans_w"]
+        self.trans = self.trans + self.params["trans_w"]
 
     # -- checkpoint surface (S5) ------------------------------------
     def parameters(self) -> dict[str, np.ndarray]:
@@ -453,8 +429,6 @@ class CombinatorialScorer:
             hflat = x
 
         raw = gemm_fixed(hflat, self.params["emission_W"]) + self.params["emission_b"]
-        if not self.trained:
-            raw = FEATURE_SCALE * np.tanh(raw)
         em = np.zeros((B, L, raw.shape[1]), dtype=np.float64)
         em[rows, cols] = raw
         return em, lens
@@ -466,56 +440,20 @@ class CombinatorialScorer:
         return em[0, : int(lens[0])]
 
     def decode_tokens_batch(self, token_lists: list[list[str]]) -> list[list[str]]:
-        """Pure-model Viterbi (trained mode) over many sequences: raw
-        emissions + learned transition scores under the hard BIO mask;
-        no dictionary prior. 'O' beyond MAX_SEQ_LEN (reference
-        truncation). Runs on the shared crf.batched_decode_harness
-        (length-sorted buckets, one batched forward + batched Viterbi
-        each). Shared verbatim by the distributed stage and the
-        sequential oracle replay — and bit-identical to per-sequence
-        decoding (see scores_batch)."""
+        """Pure-model Viterbi over many sequences: raw emissions +
+        learned transition scores under the hard BIO mask. 'O' beyond
+        MAX_SEQ_LEN (reference truncation). Runs on the shared
+        crf.batched_decode_harness (length-sorted buckets, one batched
+        forward + batched Viterbi each). Shared verbatim by the
+        distributed stage and the sequential oracle replay — and
+        bit-identical to per-sequence decoding (see scores_batch)."""
         return batched_decode_harness(
             token_lists,
             self.trans,
             self.tags,
             em_for_chunk=lambda chunk: self.scores_batch([t for _, t in chunk]),
-            on_empty=lambda i: ["O"] * len(token_lists[i]),
-            tail=lambda i, n: ["O"] * (len(token_lists[i]) - n),
             cap=self.BATCH_DECODE_SEQS,
         )
 
     def decode_tokens(self, tokens: list[str]) -> list[str]:
         return self.decode_tokens_batch([tokens])[0]
-
-    def decode_batch(
-        self, token_lists: list[list[str]], dict_tags_lists: list[list[str]] | None
-    ) -> list[list[str]]:
-        """Batched ``decode``: TRAINED mode ignores the dictionary tags
-        (weights decide); decode-equivalence mode Viterbi-decodes over
-        dictionary-prior + bounded model emissions, provably equal to
-        the dictionary tags per sequence."""
-        if self.trained:
-            return self.decode_tokens_batch(token_lists)
-        assert dict_tags_lists is not None
-
-        def em_with_prior(chunk):
-            em, lens = self.scores_batch([t for _, t in chunk])
-            for bi, (i, toks) in enumerate(chunk):
-                for t, tag in enumerate(dict_tags_lists[i][: len(toks)]):
-                    em[bi, t, self.tag_index[tag]] += DICT_SCORE
-            return em, lens
-
-        return batched_decode_harness(
-            token_lists,
-            self.trans,
-            self.tags,
-            em_for_chunk=em_with_prior,
-            on_empty=lambda i: list(dict_tags_lists[i]),
-            tail=lambda i, n: dict_tags_lists[i][n:],
-            cap=self.BATCH_DECODE_SEQS,
-        )
-
-    def decode(self, tokens: list[str], dict_tags: list[str]) -> list[str]:
-        """Same decode contract as ``crf.CRFScorer.decode`` — the B=1
-        slice of decode_batch (one shared implementation)."""
-        return self.decode_batch([tokens], [dict_tags])[0]

@@ -1,28 +1,16 @@
-"""Numpy CRF-shaped scorer: char-feature emissions + Viterbi decode.
+"""BIO tag space, transition mask and Viterbi decode — the CRF head
+every model scorer shares (the ``torchcrf.CRF.decode`` slot, reference
+``models/models.py:163,189-193``, A7).
 
-This fills the learned-scorer slot with the reference's *architecture*
-re-expressed in numpy, so the pipeline's per-turn cost profile matches a
-real model-scoring deployment instead of a dictionary lookup:
-
-- char-feature extractor: per-token char n-gram hash features through a
-  dense projection (the ``CharCNN`` shape, reference ``models/models.py:
-  8-29`` — fixed random filters, same load-once actor state);
-- emission matrix [T, K] over the BIO tag space: a strong dictionary
-  prior (+``DICT_SCORE``) plus the bounded char-feature score
-  (|score| ≤ ``FEATURE_SCALE``), mirroring the emissions-then-decode
-  fallback ``get_emissions`` (reference ``app.py:305-333``, M14);
-- Viterbi decode over a BIO-constrained transition matrix (the
-  ``torchcrf.CRF.decode`` slot, reference ``models/models.py:163,189-193``,
-  A7).
-
-DECODE-EQUIVALENCE GUARANTEE: the dictionary prior (10.0) strictly
-dominates the char-feature term (≤ 0.4 per token) and invalid BIO
-transitions are -inf, so the decoded path always equals the greedy
-dictionary tags (which are BIO-valid by construction) — any path that
-deviates at even one token loses ≥ 10 - 2·0.4 > 0. The oracle SQL and
-every downstream table therefore stay exact while the compute is a real
-O(T·K²) DP plus char-feature matmuls. ``tests/test_crf.py`` asserts the
-equivalence on the fixture corpus.
+- ``bio_tagset``: deterministic tag ordering, O then B-/I- per type;
+- ``bio_transitions``: [K, K] log-transition matrix with invalid BIO
+  moves pinned to -inf (trained scorers add learned scores on the
+  allowed moves);
+- ``viterbi_decode`` / ``viterbi_decode_batch``: max-sum decode over
+  [T, K] emissions, single-sequence and batched (bit-exact vs each
+  other);
+- ``batched_decode_harness``: the length-bucketed batched-decode
+  skeleton the model scorers serve through.
 """
 
 from __future__ import annotations
@@ -31,10 +19,6 @@ import numpy as np
 
 from .tokenize import MAX_SEQ_LEN
 
-DICT_SCORE = 10.0
-FEATURE_SCALE = 0.4
-CHAR_FEATURE_DIM = 32
-CHAR_FILTERS = 64
 _NEG_INF = -1e9
 
 
@@ -51,7 +35,8 @@ def bio_tagset(types: list[str]) -> list[str]:
 def bio_transitions(tags: list[str]) -> np.ndarray:
     """[K, K] log-transition matrix: 0 for BIO-valid moves, -inf else.
     I-x is reachable only from B-x / I-x (torchcrf learns this softly;
-    we pin it hard so decode equivalence is provable)."""
+    we pin it hard). There is no start-transition row, so a path may
+    open with I-x."""
     k = len(tags)
     trans = np.zeros((k, k), dtype=np.float64)
     for j, to in enumerate(tags):
@@ -61,125 +46,6 @@ def bio_transitions(tags: list[str]) -> np.ndarray:
                 if frm not in (f"B-{typ}", f"I-{typ}"):
                     trans[i, j] = _NEG_INF
     return trans
-
-
-WORD_EMB_DIM = 64
-
-
-class CharFeaturizer:
-    """Fixed random model-shaped feature stack, loaded once per actor:
-
-    - char n-gram hash buckets → dense filters (A4 CharCNN shape);
-    - hash-derived word embeddings → Manhattan-attention context mixing
-      (A6, models/models.py:56-70 — the O(T²·D) pairwise-L1 pass);
-    - fused projection to per-tag scores.
-
-    This gives the scorer the reference model's per-turn cost *profile*
-    (embedding lookup + char channel + quadratic attention + emission
-    projection) while staying deterministic and dependency-free."""
-
-    def __init__(
-        self,
-        num_tags: int,
-        seed: int = 2024,
-        embedding_table: dict[str, np.ndarray] | None = None,
-        emb_dim: int | None = None,
-    ):
-        rng = np.random.RandomState(seed)
-        if emb_dim is None:
-            emb_dim = (
-                len(next(iter(embedding_table.values())))
-                if embedding_table
-                else WORD_EMB_DIM
-            )
-        self.emb_dim = emb_dim
-        self.proj = rng.randn(CHAR_FEATURE_DIM, CHAR_FILTERS)
-        self.emb_proj = rng.randn(emb_dim, CHAR_FILTERS)
-        self.out = rng.randn(2 * CHAR_FILTERS, num_tags)
-        self.num_tags = num_tags
-        # TRAINED embedding table (A10 artifact, J4 lookup) when given;
-        # hash-derived vectors remain the OOV fallback
-        self._trained = embedding_table or {}
-        self._emb_cache: dict[str, np.ndarray] = {}
-        self._feat_cache: dict[str, np.ndarray] = {}
-
-    def parameters(self) -> dict[str, np.ndarray]:
-        """Named parameter dict — the state_dict analog checkpoints act on."""
-        return {"proj": self.proj, "emb_proj": self.emb_proj, "out": self.out}
-
-    def word_embeddings(self, tokens: list[str]) -> np.ndarray:
-        """[T, emb_dim] embeddings: trained vector when the token is in
-        the loaded matrix artifact (J4), else a deterministic
-        hash-derived vector memoized per distinct token — mirroring the
-        reference's trained-matrix + random-OOV split (A10)."""
-        from zlib import crc32
-
-        cache = self._emb_cache
-        T = len(tokens)
-        emb = np.empty((T, self.emb_dim), dtype=np.float64)
-        for ti, tok in enumerate(tokens):
-            key = tok.lower()
-            v = self._trained.get(key)
-            if v is None:
-                v = cache.get(key)
-                if v is None:
-                    h = crc32(key.encode("utf-8"))
-                    v = np.random.RandomState(h & 0x7FFFFFFF).randn(self.emb_dim)
-                    if len(cache) < 500_000:  # bound actor memory
-                        cache[key] = v
-            emb[ti] = v
-        return emb
-
-    def attention_context(self, emb: np.ndarray) -> np.ndarray:
-        """Manhattan-attention context: softmax(-|xi - xj|_1) weights over
-        the sequence (A6), O(T²·D) like the reference."""
-        dist = np.abs(emb[:, None, :] - emb[None, :, :]).sum(axis=2)  # [T, T]
-        w = np.exp(-dist / emb.shape[1])
-        w /= w.sum(axis=1, keepdims=True)
-        return w @ emb  # [T, D]
-
-    def token_features(self, tokens: list[str]) -> np.ndarray:
-        """[T, CHAR_FEATURE_DIM] hashed char-trigram counts, memoized
-        per distinct token (vocab is Zipfian — same bounded-cache
-        rationale as word_embeddings; counts are deterministic, so the
-        cache cannot change a float)."""
-        from zlib import crc32  # process-stable, unlike builtin hash()
-
-        cache = self._feat_cache
-        feats = np.empty((len(tokens), CHAR_FEATURE_DIM), dtype=np.float64)
-        for ti, tok in enumerate(tokens):
-            v = cache.get(tok)
-            if v is None:
-                v = np.zeros(CHAR_FEATURE_DIM, dtype=np.float64)
-                s = f"^{tok.lower()}$"
-                for i in range(len(s) - 2):
-                    v[crc32(s[i : i + 3].encode("utf-8")) % CHAR_FEATURE_DIM] += 1.0
-                if len(cache) < 500_000:  # bound actor memory
-                    cache[tok] = v
-            feats[ti] = v
-        return feats
-
-    def scores(self, tokens: list[str]) -> np.ndarray:
-        """[T, K] bounded emission scores (|s| ≤ FEATURE_SCALE): char
-        channel + attention-mixed word-embedding channel, concatenated
-        then projected (the FC-fusion shape, models/models.py:120-130)."""
-        f = self.token_features(tokens)
-        char_h = np.tanh(f @ self.proj)  # [T, F]
-        emb = self.word_embeddings(tokens)
-        ctx = self.attention_context(emb)  # [T, D]
-        emb_h = np.tanh(ctx @ self.emb_proj)  # [T, F]
-        raw = np.concatenate([char_h, emb_h], axis=1) @ self.out
-        return FEATURE_SCALE * np.tanh(raw)
-
-
-def emissions_from_tags(
-    dict_tags: list[str], tag_index: dict[str, int], char_scores: np.ndarray
-) -> np.ndarray:
-    """[T, K] emissions: dictionary prior + char-feature scores (M14)."""
-    em = char_scores.copy()
-    for t, tag in enumerate(dict_tags):
-        em[t, tag_index[tag]] += DICT_SCORE
-    return em
 
 
 def viterbi_decode(emissions: np.ndarray, trans: np.ndarray) -> list[int]:
@@ -255,130 +121,29 @@ def batched_decode_harness(
     trans: np.ndarray,
     tags: list[str],
     em_for_chunk,
-    on_empty,
-    tail,
     cap: int = DECODE_BUCKET_SEQS,
 ) -> list[list[str]]:
-    """The ONE skeleton every scorer's ``decode_batch`` runs on
-    (Combinatorial / Learned / CRF — previously four near-identical
-    copies): clamp each sequence to MAX_SEQ_LEN, length-sort the work
+    """The ONE skeleton every model scorer's ``decode_tokens_batch``
+    runs on: clamp each sequence to MAX_SEQ_LEN, length-sort the work
     list (stable on original index), run ≤``cap``-sequence buckets
     through ``em_for_chunk`` + one batched Viterbi each, and reassemble
-    per-row results.
+    per-row results, ``'O'``-padded past MAX_SEQ_LEN (reference
+    truncation).
 
-    - ``em_for_chunk(chunk)`` → (emissions [B, L, K] end-padded,
-      lens [B]) for ``chunk`` = list of (original_index, clamped
-      tokens); prior addition (decode-equivalence mode) happens inside
-      the callback.
-    - ``on_empty(i)`` → the full result row for a token-less sequence.
-    - ``tail(i, decoded_len)`` → the suffix appended past MAX_SEQ_LEN
-      (``'O'`` padding for trained scorers, the dictionary tags for
-      decode-equivalence mode)."""
-    results: list[list[str] | None] = [None] * len(token_lists)
+    ``em_for_chunk(chunk)`` → (emissions [B, L, K] end-padded, lens [B])
+    for ``chunk`` = list of (original_index, clamped tokens)."""
+    results: list[list[str]] = [[] for _ in token_lists]
     work: list[tuple[int, list[str]]] = []
     for i, toks in enumerate(token_lists):
-        limit = min(len(toks), MAX_SEQ_LEN)
-        if limit == 0:
-            results[i] = on_empty(i)
-        else:
-            work.append((i, toks[:limit]))
+        if toks:
+            work.append((i, toks[:MAX_SEQ_LEN]))
     work.sort(key=lambda it: (len(it[1]), it[0]))
     for s in range(0, len(work), cap):
         chunk = work[s : s + cap]
         em, lens = em_for_chunk(chunk)
         paths = viterbi_decode_batch(em, lens, trans)
         for (i, toks), path in zip(chunk, paths):
-            results[i] = [tags[j] for j in path] + tail(i, len(toks))
-    return results  # type: ignore[return-value]
-
-
-class CRFScorer:
-    """Load-once scorer state (tagset, transitions, char featurizer) —
-    the learned-model analog of AliasDict for the annotate stage.
-
-    Optional artifacts, both loaded ONCE here (A1 contract):
-    - ``embedding_matrix_path``: the A10 vocab-aligned matrix parquet
-      (pipelines/embeddings.py) — trained vectors replace the hash
-      fallback for in-vocab words (J4).
-    - ``checkpoint_path``: an .npz parameter checkpoint restored with
-      the reference's strict-then-partial shape-filtered semantics
-      (S5, app.py:181-205 via state/checkpoint.load_into); the load
-      report lands in ``self.checkpoint_report``.
-
-    The decode-equivalence guarantee is UNAFFECTED by either artifact:
-    emission perturbations stay |s| ≤ FEATURE_SCALE (tanh-bounded), far
-    under the dictionary prior."""
-
-    def __init__(
-        self,
-        types: list[str],
-        embedding_matrix_path: str | None = None,
-        checkpoint_path: str | None = None,
-    ):
-        self.tags = bio_tagset(types)
-        self.tag_index = {t: i for i, t in enumerate(self.tags)}
-        self.trans = bio_transitions(self.tags)
-        table = None
-        if embedding_matrix_path:
-            import pyarrow.parquet as pq
-
-            t = pq.read_table(embedding_matrix_path, columns=["word", "vector"])
-            table = {
-                w: np.asarray(v, dtype=np.float64)
-                for w, v in zip(t["word"].to_pylist(), t["vector"].to_pylist())
-            }
-        self.featurizer = CharFeaturizer(len(self.tags), embedding_table=table)
-        self.checkpoint_report: dict | None = None
-        if checkpoint_path:
-            from ..state.checkpoint import load_into
-
-            self.checkpoint_report = load_into(
-                checkpoint_path, self.featurizer.parameters()
+            results[i] = [tags[j] for j in path] + ["O"] * (
+                len(token_lists[i]) - len(toks)
             )
-
-    def decode(self, tokens: list[str], dict_tags: list[str]) -> list[str]:
-        """Viterbi-decode the first MAX_SEQ_LEN tokens; guaranteed equal
-        to dict_tags (see module docstring), past-limit tokens stay 'O'."""
-        limit = min(len(tokens), MAX_SEQ_LEN)
-        if limit == 0:
-            return list(dict_tags)
-        char_scores = self.featurizer.scores(tokens[:limit])
-        em = emissions_from_tags(dict_tags[:limit], self.tag_index, char_scores)
-        idx_path = viterbi_decode(em, self.trans)
-        out = [self.tags[i] for i in idx_path]
-        out.extend(dict_tags[limit:])
-        return out
-
-    def decode_batch(
-        self, token_lists: list[list[str]], dict_tags_lists: list[list[str]]
-    ) -> list[list[str]]:
-        """Batched ``decode``: emissions stay per-sequence (their matmul
-        row count IS the sequence length, so per-sequence floats are
-        unchanged) while Viterbi runs once per length-sorted bucket —
-        bit-exact vs per-row. Same decode-equivalence guarantee;
-        engaged by the annotate stage's batched path; runs on the
-        shared batched_decode_harness."""
-
-        def em_for_chunk(chunk):
-            lens = np.fromiter(
-                (len(t) for _, t in chunk), dtype=np.int64, count=len(chunk)
-            )
-            em = np.zeros(
-                (len(chunk), int(lens.max()), len(self.tags)), dtype=np.float64
-            )
-            for bi, (i, toks) in enumerate(chunk):
-                em[bi, : len(toks)] = emissions_from_tags(
-                    dict_tags_lists[i][: len(toks)],
-                    self.tag_index,
-                    self.featurizer.scores(toks),
-                )
-            return em, lens
-
-        return batched_decode_harness(
-            token_lists,
-            self.trans,
-            self.tags,
-            em_for_chunk=em_for_chunk,
-            on_empty=lambda i: list(dict_tags_lists[i]),
-            tail=lambda i, n: dict_tags_lists[i][n:],
-        )
+    return results

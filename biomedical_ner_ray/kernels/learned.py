@@ -1,9 +1,8 @@
 """Learned linear-CRF tagger — the scorer whose WEIGHTS determine output.
 
-The dictionary scorer (kernels/tagger.py) and the decode-equivalent
-model scorers (kernels/crf.py, kernels/combinatorial.py) all provably
-emit the dictionary tags. This module closes that loop with the
-reference's actual lifecycle: a model is FIT to data
+The dictionary scorer (kernels/tagger.py) emits the dictionary tags by
+construction. This module follows the reference's actual lifecycle
+instead: a model is FIT to data
 (pipelines/train_tagger.py mirrors the training loop of
 ``JNLPBA.ipynb`` cell 11 ``run_pipeline`` — Adam lr=1e-3 wd=5e-4,
 epoch cap, patience, dev-F1 checkpointing), checkpointed on best dev
@@ -117,9 +116,8 @@ def features(tokens: list[str]) -> np.ndarray:
 class LearnedScorer:
     """Inference-side scorer for ``annotate_stage(scorer="learned")``:
     checkpoint (W, b) loaded ONCE per actor/worker (A1 contract, S5
-    strict/partial restore), Viterbi decode per turn. The ``dict_tags``
-    argument of ``decode`` is IGNORED — output depends only on the
-    trained weights (contrast kernels/crf.py's decode-equivalence)."""
+    strict/partial restore), Viterbi decode per turn. Output depends
+    only on the trained weights."""
 
     def __init__(self, types: list[str], checkpoint_path: str):
         self.tags = bio_tagset(types)
@@ -134,10 +132,6 @@ class LearnedScorer:
         self.checkpoint_report = load_into(checkpoint_path, params)
         self.W = params["W"]
         self.b = params["b"]
-
-    # weights decide — annotate's batched path skips the dictionary
-    # prior entirely (the CombinatorialScorer trained-mode contract)
-    trained = True
 
     def decode_tokens(self, tokens: list[str]) -> list[str]:
         """Viterbi tags for the first MAX_SEQ_LEN tokens; 'O' beyond
@@ -175,14 +169,4 @@ class LearnedScorer:
             self.trans,
             self.tags,
             em_for_chunk=em_for_chunk,
-            on_empty=lambda i: ["O"] * len(token_lists[i]),
-            tail=lambda i, n: ["O"] * (len(token_lists[i]) - n),
         )
-
-    def decode_batch(
-        self, token_lists: list[list[str]], dict_tags_lists=None
-    ) -> list[list[str]]:
-        return self.decode_tokens_batch(token_lists)
-
-    def decode(self, tokens: list[str], dict_tags: list[str]) -> list[str]:
-        return self.decode_tokens(tokens)

@@ -8,8 +8,8 @@ This sandbox has no torch and no GPU, so:
 - importing this module is always safe (no torch import at module
   scope);
 - constructing ``TorchCombinatorialScorer`` raises a clear ImportError
-  when torch is absent — the numpy ``CombinatorialScorer(trained=True)``
-  serves the same ``.npz`` checkpoint identically;
+  when torch is absent — the numpy ``CombinatorialScorer`` serves the
+  same ``.npz`` checkpoint identically;
 - where torch IS present, the forward mirrors the numpy implementation
   OPERATION FOR OPERATION (same sliding-window conv formulation, same
   i|f|o|g gate math with the same clip, same attention algebra), so
@@ -31,7 +31,7 @@ from .crf import viterbi_decode
 
 
 class TorchCombinatorialScorer:
-    """Tensor twin of ``CombinatorialScorer(trained=True)``.
+    """Tensor twin of ``CombinatorialScorer``.
 
     Holds the numpy scorer for tokenizer/char-id/word-vector logic (all
     deterministic and device-independent) and re-runs the neural
@@ -44,21 +44,18 @@ class TorchCombinatorialScorer:
         types: list[str],
         checkpoint_path: str,
         device: str | None = None,
-        trained: bool = True,
     ):
         try:
             import torch
         except ImportError as e:  # honest gate, never a silent fallback
             raise ImportError(
                 "torch is not installed in this environment; serve the "
-                "checkpoint with CombinatorialScorer(trained=True) "
+                "checkpoint with CombinatorialScorer "
                 "(identical outputs, numpy forward) or install torch "
                 "for the GPU path"
             ) from e
         self._torch = torch
-        self.np_scorer = CombinatorialScorer(
-            types, checkpoint_path=checkpoint_path, trained=trained
-        )
+        self.np_scorer = CombinatorialScorer(types, checkpoint_path=checkpoint_path)
         self.tags = self.np_scorer.tags
         self.trans = self.np_scorer.trans
         self.kernels = self.np_scorer.cnn_kernels
@@ -120,7 +117,7 @@ class TorchCombinatorialScorer:
         return torch.cat(cols, dim=1)
 
     def scores(self, tokens: list[str]) -> np.ndarray:
-        """[T, K] raw emissions (trained mode) — torch forward, numpy out."""
+        """[T, K] raw emissions — torch forward, numpy out."""
         torch = self._torch
         with torch.no_grad():
             wv = torch.tensor(
@@ -153,5 +150,5 @@ class TorchCombinatorialScorer:
         path = viterbi_decode(em, self.trans)
         return [self.tags[i] for i in path] + ["O"] * (len(tokens) - limit)
 
-    def decode(self, tokens: list[str], dict_tags: list[str]) -> list[str]:
-        return self.decode_tokens(tokens)
+    def decode_tokens_batch(self, token_lists: list[list[str]]) -> list[list[str]]:
+        return [self.decode_tokens(toks) for toks in token_lists]

@@ -150,22 +150,27 @@ def _gen_dir(store_dir: str, gen: int) -> str:
     return os.path.join(store_dir, f"gen{gen}")
 
 
-def _hardlink_tree(src: str, dst: str) -> None:
-    """Link every parquet file of src into dst preserving layout —
-    zero-copy carry-over of untouched store content. Falls back to a
-    copy when the store spans filesystems (EXDEV) or the backing store
+def _link_or_copy(src: str, dst: str) -> None:
+    """Zero-copy carry-over of one store file: hardlink, falling back to
+    a copy when the store spans filesystems (EXDEV) or the backing store
     has no hardlinks; on shared object storage the whole carry-over
     becomes a manifest pointer copy instead (see module docstring)."""
+    try:
+        os.link(src, dst)
+    except OSError:
+        shutil.copy2(src, dst)
+
+
+def _hardlink_tree(src: str, dst: str) -> None:
+    """Carry every parquet file of src into dst preserving layout
+    (``_link_or_copy`` per file)."""
     for root, _dirs, files in os.walk(src):
         rel = os.path.relpath(root, src)
         out = os.path.join(dst, rel) if rel != "." else dst
         os.makedirs(out, exist_ok=True)
         for f in files:
             if f.endswith(".parquet"):
-                try:
-                    os.link(os.path.join(root, f), os.path.join(out, f))
-                except OSError:
-                    shutil.copy2(os.path.join(root, f), os.path.join(out, f))
+                _link_or_copy(os.path.join(root, f), os.path.join(out, f))
 
 
 def _delta_fingerprint(transcripts: str) -> str:
@@ -200,7 +205,6 @@ def ingest_delta(
     alias_path: str,
     *,
     n_edge_buckets: int | None = None,
-    scorer: str = "dict",
 ) -> dict:
     """Apply one transcript delta to the store; returns the report.
     Idempotent: a delta whose input fingerprint is already recorded in
@@ -221,7 +225,7 @@ def ingest_delta(
     try:
         return _ingest_delta_locked(
             store_dir, transcripts, alias_path,
-            n_edge_buckets=n_edge_buckets, scorer=scorer, t0=t0,
+            n_edge_buckets=n_edge_buckets, t0=t0,
         )
     finally:
         fcntl.flock(lock_f, fcntl.LOCK_UN)
@@ -234,7 +238,6 @@ def _ingest_delta_locked(
     alias_path: str,
     *,
     n_edge_buckets: int,
-    scorer: str,
     t0: float,
 ) -> dict:
     from ..oracle import canonical_components
@@ -445,7 +448,6 @@ def _ingest_delta_locked(
     ann = annotate_stage(
         survivors.select_columns(["conv_id", "turn_idx", "text"]),
         alias_ref,
-        scorer=scorer,
     )
     delta_edges = (
         edges_stage(lambda: triples_stage(ann), comp_ref)
@@ -477,7 +479,7 @@ def _ingest_delta_locked(
         out = os.path.join(edges_dir, f"edge_bucket={b}")
         os.makedirs(out, exist_ok=True)
         for f in fs:
-            os.link(f, os.path.join(out, os.path.basename(f)))
+            _link_or_copy(f, os.path.join(out, os.path.basename(f)))
     # merge touched buckets (delta + old rows), one edge-keyed combine
     touched_files = [f for b in touched_e for f in old_buckets.get(b, [])]
     merged = delta_edges.map_batches(
@@ -545,7 +547,7 @@ def _ingest_delta_locked(
         out = os.path.join(vec_dir, f"vpart={b}")
         os.makedirs(out, exist_ok=True)
         for f in fs:
-            os.link(f, os.path.join(out, os.path.basename(f)))
+            _link_or_copy(f, os.path.join(out, os.path.basename(f)))
     vmerged = dvec
     vtouched_files = [f for b in touched_v for f in old_vparts.get(b, [])]
     if vtouched_files:

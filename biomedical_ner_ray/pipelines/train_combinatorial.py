@@ -3,7 +3,7 @@ through char-CNN + char-BiLSTM + FC fusion + context BiLSTM + Manhattan
 attention + CRF (the reference's primary lifecycle, ``models/models.py``
 73-193 trained by ``JNLPBA.ipynb`` cell 11 ``run_pipeline``), in numpy
 (kernels/combi_train.py), producing a checkpoint the serving scorer
-(``CombinatorialScorer(trained=True)``) restores strictly.
+(``CombinatorialScorer``) restores strictly.
 
 Loop shape = the reference's verbatim settings where they exist:
 Adam lr=1e-3 weight_decay=5e-4 betas 0.9/0.999, epoch cap with
@@ -165,7 +165,7 @@ class _Model:
     """Float32 parameter set + frozen word vectors + fwd/bwd."""
 
     def __init__(self, types: list[str], seed: int = SEED):
-        self.scorer = CombinatorialScorer(types, seed=seed, trained=True)
+        self.scorer = CombinatorialScorer(types, seed=seed)
         self.tags = self.scorer.tags
         self.kernels = self.scorer.cnn_kernels
         self.trans_base = bio_transitions(self.tags)
@@ -390,9 +390,7 @@ def replay_expected_tags(
     floats match what Ray workers (OMP_NUM_THREADS=1) compute when the
     engine serves the same checkpoint — near-tie Viterbi decisions then
     agree bit-for-bit on both sides of the contract."""
-    scorer = CombinatorialScorer(
-        types, checkpoint_path=checkpoint_path, trained=True
-    )
+    scorer = CombinatorialScorer(types, checkpoint_path=checkpoint_path)
     turns = load_turns(fixture_paths)
     # Decode each DISTINCT sequence once through the same batched
     # forward the serving actors run (decode is a pure function of the

@@ -163,30 +163,13 @@ def kg_mentions(sf_dir: str):
     )
 
 
-def kg_mentions_model(sf_dir: str):
-    """Mention spans decoded by the FULL CombinatorialNER forward
-    (kernels/combinatorial.py — real char-CNN convolutions, char-BiLSTM
-    recurrence, FC fusion, context BiLSTM, Manhattan attention, BIO
-    Viterbi; A3/A4/A5/A6/A7 vs models/models.py:8-193). The model's
-    tanh-bounded emissions cannot overturn the dictionary prior, so the
-    decoded spans are provably identical to kg_mentions — the SAME SQL
-    oracle verifies the whole forward pass end-to-end."""
-    paths = _fixture(sf_dir)
-    ref = ray.put(AliasDict(_alias_rows(paths)))
-    ds = _transcripts_ds(paths, columns=["conv_id", "turn_idx", "text"])
-    ann = annotate_stage(ds, ref, scorer="combinatorial")
-    return mentions_stage(ann).select_columns(
-        ["conv_id", "turn_idx", "mention_id", "text", "type", "start_tok", "end_tok"]
-    )
-
-
 def kg_mentions_learned(sf_dir: str):
-    """Mention spans decoded by the TRAINED tagger — the only scorer
-    whose output depends on fitted weights (kernels/learned.py +
+    """Mention spans decoded by the TRAINED linear-CRF tagger — output
+    depends on fitted weights (kernels/learned.py +
     pipelines/train_tagger.py: Adam/patience/dev-F1-checkpoint lifecycle
     mirroring JNLPBA.ipynb cell 11; served like app.py:254-303 serves
-    the reference checkpoint). Unlike kg_mentions/_model there is NO
-    decode-equivalence: predictions disagree with the dictionary gold
+    the reference checkpoint). Unlike kg_mentions the dictionary does
+    not decide: predictions disagree with the dictionary gold
     on ~3% of mentions (asserted 0.95 ≤ P,R < 1.0 in
     tests/test_learned_tagger.py), so the oracle is a SQL BIO-span
     decode over the checkpoint's sequential replay artifact — it checks
@@ -214,9 +197,9 @@ def kg_mentions_combinatorial(sf_dir: str):
     models/models.py:73-193, trained per JNLPBA.ipynb cell 11;
     pipelines/train_combinatorial.py + kernels/combi_train.py), served
     through the same annotate-stage actor pool as every other scorer.
-    Like kg_mentions_learned there is NO decode-equivalence — the
-    fitted weights decide (0.95 ≤ mention P,R < 1.0 asserted on the
-    held-out split in tests/test_combinatorial_trained.py) — so the
+    Like kg_mentions_learned the fitted weights decide (0.95 ≤ mention
+    P,R < 1.0 asserted on the held-out split in
+    tests/test_combinatorial_trained.py) — so the
     oracle is a SQL BIO-span decode over the checkpoint's sequential
     replay artifact: it checks distributed-serving == sequential-replay
     AND the span-assembly semantics, never a tautology."""
@@ -228,7 +211,7 @@ def kg_mentions_combinatorial(sf_dir: str):
     ds = _transcripts_ds(paths, columns=["conv_id", "turn_idx", "text"])
     ann = annotate_stage(
         ds, ref, scorer="combinatorial",
-        scorer_kwargs={"checkpoint_path": arts["checkpoint"], "trained": True},
+        scorer_kwargs={"checkpoint_path": arts["checkpoint"]},
     )
     return mentions_stage(ann).select_columns(
         ["conv_id", "turn_idx", "mention_id", "text", "type", "start_tok", "end_tok"]

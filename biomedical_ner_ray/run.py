@@ -4,7 +4,7 @@ Usage (local or as a Ray job driver script)::
 
     python -m biomedical_ner_ray.run \
         --transcripts /data/transcripts/ --alias /data/alias.parquet \
-        --out /data/kg_out [--scorer crf] [--num-cpus 32] [--buckets 8]
+        --out /data/kg_out [--num-cpus 32] [--buckets 8]
 
 Re-running with the same inputs resumes: completed stages/buckets are
 skipped via their lineage manifests and the run report says so. This
@@ -24,9 +24,6 @@ def main(argv=None) -> int:
     ap.add_argument("--transcripts", required=True, help="parquet file or directory")
     ap.add_argument("--alias", required=True, help="alias dictionary parquet")
     ap.add_argument("--out", required=True, help="output root directory")
-    ap.add_argument(
-        "--scorer", default="dict", choices=["dict", "crf", "combinatorial"]
-    )
     ap.add_argument("--buckets", type=int, default=8)
     ap.add_argument("--batch-size", type=int, default=4096)
     ap.add_argument("--num-cpus", type=int, default=None,
@@ -38,7 +35,7 @@ def main(argv=None) -> int:
         help="measure per-exchange shuffle volumes (rows + deep bytes in/"
              "out of every keyed exchange) and add them to the report "
              "(stages/exchange.exchange_metering; measurement mode — one "
-             "fire-and-forget actor call per batch)",
+             "blocking actor call per batch)",
     )
     ap.add_argument(
         "--ingest-delta", action="store_true",
@@ -63,9 +60,7 @@ def main(argv=None) -> int:
         if args.ingest_delta:
             from .pipelines.ingest import ingest_delta
 
-            report = ingest_delta(
-                args.out, args.transcripts, args.alias, scorer=args.scorer
-            )
+            report = ingest_delta(args.out, args.transcripts, args.alias)
             print(json.dumps({"store": args.out, "ingest": report}, indent=2))
             return 0
 
@@ -80,7 +75,6 @@ def main(argv=None) -> int:
                 args.transcripts,
                 args.alias,
                 args.out,
-                scorer=args.scorer,
                 n_buckets=args.buckets,
                 annotate_batch_size=args.batch_size,
                 sort=not args.no_sort,
@@ -88,7 +82,6 @@ def main(argv=None) -> int:
             volumes = snapshot() if snapshot is not None else None
         report = {
             "out": args.out,
-            "scorer": args.scorer,
             "stages": {
                 k: {
                     "rows": v["rows"],

@@ -1,10 +1,10 @@
 """TurnAnnotator — the flagship stateful actor-pool stage.
 
 One pass over transcript turns does everything row-local: tokenize →
-greedy dictionary BIO tagging → span decode (reference extract_entities
-semantics, app.py:335-416) → entity linking (broadcast alias dict,
-SURVEY.md J6) → per-turn triple extraction (kernels.relations). The
-output is ONE nested row per turn::
+BIO tagging (greedy dictionary match or a trained model scorer) → span
+decode (reference extract_entities semantics, app.py:335-416) → entity
+linking (broadcast alias dict, SURVEY.md J6) → per-turn triple
+extraction (kernels.relations). The output is ONE nested row per turn::
 
     conv_id, turn_idx, n_tokens,
     mentions: list<struct<mention_id,text,type,start_tok,end_tok,
@@ -70,14 +70,22 @@ class TurnAnnotator:
     """Callable class for ``map_batches(TurnAnnotator, concurrency=N,
     fn_constructor_kwargs={"alias_ref": ref})``.
 
-    ``scorer="dict"`` tags by greedy dictionary match alone (fast path);
-    ``scorer="crf"`` runs the reference-shaped numpy scorer on top —
-    char-feature emissions + BIO-constrained Viterbi (kernels/crf.py,
-    A4/A7/M14) — with provably identical decoded tags, giving the
-    pipeline a realistic model-scoring cost profile. A torch BiLSTM-CRF
-    drops into the same slot by replacing CRFScorer.
+    ``scorer="dict"`` tags by greedy dictionary match alone (fast path).
+    Every other scorer serves a TRAINED checkpoint through the one
+    model contract ``decode_tokens_batch(token_lists)`` — weights
+    determine output, so tags may DISAGREE with the dictionary and
+    mentions may be unlinked (cui None):
 
-    ``scorer_kwargs`` forwards artifact paths to the scorer — e.g.
+    - ``"learned"``: linear-CRF tagger (kernels/learned.py,
+      pipelines/train_tagger.py);
+    - ``"combinatorial"``: the full CombinatorialNER forward
+      (kernels/combinatorial.py, pipelines/train_combinatorial.py);
+    - ``"combinatorial_torch"``: torch serving of the same checkpoint —
+      pairs with actor_pool_kwargs={"num_gpus": ...}; raises a clear
+      ImportError where torch is absent.
+
+    ``scorer_kwargs`` forwards artifact paths to the scorer and must
+    name a ``checkpoint_path`` for every model scorer; e.g.
     ``{"embedding_matrix_path": ..., "checkpoint_path": ...}`` loads the
     trained A10 matrix (J4) and a partial-restorable parameter
     checkpoint (S5) ONCE per actor, exactly the reference's
@@ -88,37 +96,24 @@ class TurnAnnotator:
         rows = resolve(alias_ref)
         self.alias_dict = rows if isinstance(rows, AliasDict) else AliasDict(rows)
         self.scorer = scorer
-        if scorer == "crf":
-            from ..kernels.crf import CRFScorer
-
-            types = sorted({e.type for e in self.alias_dict.by_key.values()})
-            self.crf = CRFScorer(types, **(scorer_kwargs or {}))
+        if scorer == "dict":
+            return
+        if scorer == "learned":
+            from ..kernels.learned import LearnedScorer as cls
         elif scorer == "combinatorial":
-            # full CombinatorialNER forward (A3/A4/A5/A6/A7): real conv /
-            # recurrence / attention kernels, decode-equivalent output
-            from ..kernels.combinatorial import CombinatorialScorer
-
-            types = sorted({e.type for e in self.alias_dict.by_key.values()})
-            self.crf = CombinatorialScorer(types, **(scorer_kwargs or {}))
-        elif scorer == "learned":
-            # TRAINED tagger (pipelines/train_tagger.py checkpoint):
-            # weights determine output — tags may DISAGREE with the
-            # dictionary, mentions may be unlinked (cui None)
-            from ..kernels.learned import LearnedScorer
-
-            types = sorted({e.type for e in self.alias_dict.by_key.values()})
-            self.crf = LearnedScorer(types, **(scorer_kwargs or {}))
+            from ..kernels.combinatorial import CombinatorialScorer as cls
         elif scorer == "combinatorial_torch":
-            # torch-backed serving of the SAME trained checkpoint —
-            # pairs with actor_pool_kwargs={"num_gpus": ...}; raises a
-            # clear ImportError where torch is absent (the numpy
-            # trained scorer serves the checkpoint identically)
-            from ..kernels.torch_scorer import TorchCombinatorialScorer
-
-            types = sorted({e.type for e in self.alias_dict.by_key.values()})
-            self.crf = TorchCombinatorialScorer(types, **(scorer_kwargs or {}))
-        elif scorer != "dict":
+            from ..kernels.torch_scorer import TorchCombinatorialScorer as cls
+        else:
             raise ValueError(f"unknown scorer {scorer!r}")
+        # without a checkpoint a model scorer would serve its seeded
+        # random weights — never a silent fallback
+        if not (scorer_kwargs or {}).get("checkpoint_path"):
+            raise ValueError(
+                f"scorer {scorer!r} needs scorer_kwargs['checkpoint_path']"
+            )
+        types = sorted({e.type for e in self.alias_dict.by_key.values()})
+        self.crf = cls(types, **scorer_kwargs)
 
     # Turn TEXTS are Zipf-duplicated (short acks, templated tool chatter
     # — 75% duplicate rate on the fixture, and real transcripts repeat
@@ -139,10 +134,7 @@ class TurnAnnotator:
         tokens = TOKEN_RE.findall(text) if text else []
         if not tokens:
             return 0, [], []
-        tags = tag_tokens(tokens, self.alias_dict)
-        if self.scorer != "dict":
-            tags = self.crf.decode(tokens, tags)
-        return self._finish_text(tokens, tags)
+        return self._finish_text(tokens, tag_tokens(tokens, self.alias_dict))
 
     def _finish_text(self, tokens: list[str], tags: list[str]):
         """Tags → mention protos + triples (pure assembly, shared by the
@@ -201,12 +193,12 @@ class TurnAnnotator:
         return n_tokens, mentions, triples
 
     def _decode_batched(self, texts: list[str]) -> None:
-        """Model-scorer fast path: decode ALL distinct texts of the
-        batch through the scorer's batched forward (length-sorted
-        same-bucket batches — the trainer's batching, now at serving
-        time), then assemble mentions/triples per distinct text into
-        the batch memo. Output is bit-identical to the per-turn path:
-        the batched kernels are composition-independent by construction
+        """Model-scorer path: decode ALL distinct texts of the batch
+        through the scorer's batched forward (length-sorted same-bucket
+        batches — the trainer's batching, now at serving time), then
+        assemble mentions/triples per distinct text into the batch memo.
+        Output is bit-identical to per-sequence decoding: the batched
+        kernels are composition-independent by construction
         (kernels/combinatorial.py::gemm_fixed)."""
         distinct: list[str] = []
         seen = set()
@@ -215,16 +207,7 @@ class TurnAnnotator:
                 seen.add(text)
                 distinct.append(text)
         toks_list = [TOKEN_RE.findall(t) if t else [] for t in distinct]
-        trained = getattr(self.crf, "trained", False)
-        if trained:
-            dict_tags = None
-            tags_list = self.crf.decode_tokens_batch(toks_list)
-        else:
-            dict_tags = [
-                tag_tokens(toks, self.alias_dict) if toks else []
-                for toks in toks_list
-            ]
-            tags_list = self.crf.decode_batch(toks_list, dict_tags)
+        tags_list = self.crf.decode_tokens_batch(toks_list)
         for text, toks, tags in zip(distinct, toks_list, tags_list):
             nt, protos, triples = self._finish_text(toks, tags)
             self._turn_cache[text] = (nt, protos, triples)
@@ -234,7 +217,7 @@ class TurnAnnotator:
         conv_ids = batch["conv_id"].to_pylist()
         turn_idxs = batch["turn_idx"].to_pylist()
         texts = batch["text"].to_pylist()
-        if self.scorer != "dict" and hasattr(self.crf, "decode_batch"):
+        if self.scorer != "dict":
             self._decode_batched(texts)
         n_tokens: list[int] = []
         mentions_col: list[list[dict]] = []
@@ -340,10 +323,9 @@ def annotate_stage(
     a learned GPU scorer uses (reference A1 load-once contract);
     ``num_gpus`` / ``max_tokens_per_batch`` configure the device slot and
     the token-budget batch size (see ``actor_pool_kwargs``).
-    scorer: "dict" (greedy match), "crf" (numpy char-feature + Viterbi,
-    identical output, model-like cost), "combinatorial" (full A3 forward,
-    identical output), or "learned" (trained checkpoint — output depends
-    on the weights; see kernels/learned.py).
+    scorer: "dict" (greedy match) or a trained checkpoint served through
+    "learned", "combinatorial" or "combinatorial_torch" (output depends
+    on the weights; see ``TurnAnnotator``).
     """
     if mode == "actors":
         return ds.map_batches(

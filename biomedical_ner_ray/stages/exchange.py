@@ -121,12 +121,12 @@ class _ExchangeMeter:
 def exchange_metering():
     """Context manager enabling measured (rows, bytes) counters on every
     ``keyed_exchange`` BUILT inside the scope; yields a snapshot()
-    callable. Measurement-mode only (one actor round-trip per batch is
-    fire-and-forget; snapshot() settles in-flight adds with a fence
-    call). Used by scripts/measure_shuffles.py and ``run.py --meter``
-    to put NUMBERS where SCALE.md used to argue 'bounded by
-    construction'."""
-    import time
+    callable. Measurement-mode only: one BLOCKING actor round-trip per
+    batch, so every add is recorded before the batch that made it
+    finishes, and a snapshot() taken after the metered datasets are
+    consumed sees them all. Used by scripts/measure_shuffles.py and
+    ``run.py --meter`` to put NUMBERS where SCALE.md used to argue
+    'bounded by construction'."""
     from contextlib import contextmanager
 
     import ray
@@ -137,14 +137,6 @@ def exchange_metering():
         _METER["actor"] = actor
 
         def snapshot() -> dict:
-            # Fence caveat (measurement-mode honesty): worker-side
-            # fire-and-forget adds from tasks that COMPLETED before this
-            # call were already sent and are processed before our get in
-            # practice on a single host, but the grace sleep is the only
-            # cross-submitter ordering guarantee — call snapshot() only
-            # after the metered datasets are fully consumed, and treat
-            # the numbers as measurement-mode (not accounting-grade).
-            time.sleep(0.5)
             return ray.get(actor.snapshot.remote())
 
         try:
@@ -153,6 +145,16 @@ def exchange_metering():
             _METER["actor"] = None
 
     return _cm()
+
+
+def _meter_add(meter, label: str, field: str, df) -> None:
+    """Record one batch's (rows, deep bytes) and wait for the actor to
+    apply it, so a later snapshot() cannot miss it."""
+    import ray
+
+    ray.get(
+        meter.add.remote(label, field, len(df), int(df.memory_usage(deep=True).sum()))
+    )
 
 
 def keyed_exchange(ds, keys, fn, num_partitions: int | None = None,
@@ -183,9 +185,7 @@ def keyed_exchange(ds, keys, fn, num_partitions: int | None = None,
 
     def add_pid(df: "pd.DataFrame") -> "pd.DataFrame":
         if meter is not None and len(df):
-            meter.add.remote(
-                mlabel, "in", len(df), int(df.memory_usage(deep=True).sum())
-            )
+            _meter_add(meter, mlabel, "in", df)
         h = pd.util.hash_pandas_object(df[keys], index=False)
         return df.assign(**{PID_COL: (h % num_partitions).astype("int64")})
 
@@ -197,9 +197,7 @@ def keyed_exchange(ds, keys, fn, num_partitions: int | None = None,
             and hasattr(out, "memory_usage")
             and len(out)
         ):
-            meter.add.remote(
-                mlabel, "out", len(out), int(out.memory_usage(deep=True).sum())
-            )
+            _meter_add(meter, mlabel, "out", out)
         return out
 
     return (

@@ -104,11 +104,22 @@ def run_stage(
     # `<out_dir>.lock` path, which collides with `bucket=*` partition
     # globs inside hive stores and splits mutual exclusion across
     # versions. Best-effort unlink so existing cache namespaces are
-    # cleaned on first touch by the new code.
+    # cleaned on first touch by the new code — but only when nobody
+    # holds it (a live older-release writer keeps its lock file), and
+    # without O_CREAT so the sweep never creates the file.
+    legacy = out_dir + ".lock"
     try:
-        os.unlink(out_dir + ".lock")
+        legacy_fd = os.open(legacy, os.O_RDONLY)
     except OSError:
         pass
+    else:
+        try:
+            fcntl.flock(legacy_fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            os.unlink(legacy)
+        except OSError:
+            pass
+        finally:
+            os.close(legacy_fd)
     with open(lock_path, "w") as lock_f:
         fcntl.flock(lock_f, fcntl.LOCK_EX)
         try:

@@ -4,7 +4,7 @@ trained-embedding scorer slot (J4) — artifact plumbing tests."""
 import numpy as np
 import pyarrow.parquet as pq
 
-from biomedical_ner_ray.kernels.crf import CRFScorer, CharFeaturizer
+from biomedical_ner_ray.kernels.combinatorial import CombinatorialScorer
 from biomedical_ner_ray.sources.word2vec_bin import (
     kv_to_parquet,
     read_word2vec_binary,
@@ -81,24 +81,33 @@ def test_scorer_with_trained_embeddings_and_checkpoint(tmp_path):
     words = ["il-2", "receptor"]
     mat = np.random.RandomState(1).randn(2, 8)
     kv_to_parquet(words, mat.astype(np.float32), str(tmp_path / "m.parquet"))
-    # checkpoint with one matching and one mismatching entry
+    # checkpoint with one matching, one mis-shaped and one unknown entry
     ck = str(tmp_path / "ck")
-    probe = CharFeaturizer(5, emb_dim=8)
+    probe = CombinatorialScorer(
+        ["protein", "DNA"], embedding_matrix_path=str(tmp_path / "m.parquet")
+    )
     save_checkpoint(
         ck,
-        {"proj": np.full_like(probe.proj, 0.5), "out": np.zeros((1, 1))},
+        {
+            "fusion_W": np.full_like(probe.params["fusion_W"], 0.5),
+            "emission_W": np.zeros((1, 1)),
+            "out": np.zeros((1, 1)),
+        },
     )
-    s = CRFScorer(
+    s = CombinatorialScorer(
         ["protein", "DNA"],
         embedding_matrix_path=str(tmp_path / "m.parquet"),
         checkpoint_path=ck,
     )
     assert s.checkpoint_report["mode"] == "partial"
     assert s.checkpoint_report["loaded"] == 1
-    assert np.all(s.featurizer.proj == 0.5)
+    assert s.checkpoint_report["skipped"] == ["emission_W", "out"]
+    assert np.all(s.params["fusion_W"] == 0.5)
+    # the mis-shaped entry kept the constructor's weights
+    assert np.array_equal(s.params["emission_W"], probe.params["emission_W"])
     # trained vector used for in-vocab word, hash fallback for OOV
-    emb = s.featurizer.word_embeddings(["IL-2", "unknownword"])
+    assert s.word_dim == 8
+    emb = s.word_embeddings(["IL-2", "unknownword"])
     assert np.allclose(emb[0], np.asarray(mat[0], dtype=np.float32), atol=1e-6)
-    # decode-equivalence still holds with trained embeddings + checkpoint
-    tags = ["O", "B-protein", "I-protein", "O"]
-    assert s.decode(["x", "il-2", "receptor", "y"], tags) == tags
+    assert np.array_equal(emb[1], probe.word_embeddings(["unknownword"])[0])
+    assert not np.allclose(emb[1], mat[1], atol=1e-3)

@@ -38,7 +38,7 @@ def _scorer(paths, ckpt) -> CombinatorialScorer:
 
     rows = pq.read_table(paths["alias_dict"]).to_pylist()
     types = sorted({e.type for e in AliasDict(rows).by_key.values()})
-    return CombinatorialScorer(types, checkpoint_path=ckpt, trained=True)
+    return CombinatorialScorer(types, checkpoint_path=ckpt)
 
 
 def test_training_converged_and_checkpointed(combi_artifacts):
@@ -108,7 +108,7 @@ def test_north_rule_band_on_held_out_split(train_fixture, combi_artifacts):
 
 
 def test_distributed_serving_equals_replay(ray_session, combi_artifacts):
-    """annotate_stage(actor pool, scorer="combinatorial", trained) over
+    """annotate_stage(actor pool, scorer="combinatorial") over
     the sf0.001 fixture must reproduce the sequential replay artifact
     tag-for-tag — the same per-token contract the driver's
     kg_mentions_combinatorial oracle enforces at sf0.01."""
@@ -131,9 +131,7 @@ def test_distributed_serving_equals_replay(ray_session, combi_artifacts):
     )
     ann = annotate_stage(
         ds, ref, scorer="combinatorial",
-        scorer_kwargs={
-            "checkpoint_path": combi_artifacts["checkpoint"], "trained": True,
-        },
+        scorer_kwargs={"checkpoint_path": combi_artifacts["checkpoint"]},
     )
     got = (
         mentions_stage(ann)

@@ -62,7 +62,7 @@ def test_golden_transcripts(ray_session):
     ds = rd.from_arrow(pa.Table.from_pylist(rows))
     ref = ray.put(AliasDict(alias_rows()))
     out = (
-        annotate_stage(ds, ref, batch_size=16, scorer="crf")
+        annotate_stage(ds, ref, batch_size=16, scorer="dict")
         .to_pandas()
         .sort_values("turn_idx")
         .reset_index(drop=True)

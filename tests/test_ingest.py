@@ -47,7 +47,10 @@ def _frames_equal(a: pd.DataFrame, b: pd.DataFrame, keys):
     pd.testing.assert_frame_equal(a, b[a.columns])
 
 
-def test_three_delta_ingest_equals_full_recompute(ray_session, deltas, tmp_path):
+def _assert_store_equals_recompute(store: str, alias_dict: str) -> pd.DataFrame:
+    """The store's edge table and vector summary equal a from-scratch
+    recompute over its surviving turns; returns the store's edges."""
+    import pyarrow.parquet as pq
     import ray
 
     from biomedical_ner_ray.kernels.tagger import AliasDict
@@ -55,7 +58,6 @@ def test_three_delta_ingest_equals_full_recompute(ray_session, deltas, tmp_path)
     from biomedical_ner_ray.pipelines.ingest import (
         _turn_vector,
         _vpart,
-        ingest_delta,
         store_edges,
         store_turns,
         store_vector_summary,
@@ -63,6 +65,38 @@ def test_three_delta_ingest_equals_full_recompute(ray_session, deltas, tmp_path)
     from biomedical_ner_ray.stages.annotate import annotate_stage
     from biomedical_ner_ray.stages.explode import triples_stage
     from biomedical_ner_ray.stages.graph import edges_stage
+
+    alias_rows = pq.read_table(alias_dict).to_pylist()
+    alias_ref = ray.put(AliasDict(alias_rows))
+    comp_ref = ray.put(canonical_components(alias_rows))
+    surv = store_turns(store).materialize()
+    ann = annotate_stage(
+        surv.select_columns(["conv_id", "turn_idx", "text"]), alias_ref
+    )
+    full = edges_stage(lambda: triples_stage(ann), comp_ref).to_pandas()
+    got = store_edges(store).to_pandas()
+    assert len(got) > 0
+    _frames_equal(got, full, ["subj_cui", "pred", "obj_cui"])
+
+    sdf = surv.to_pandas()
+    sdf["vpart"] = [ _vpart(_turn_vector(t)) for t in sdf["text"] ]
+    exp = (
+        sdf.groupby("vpart")["doc_id"]
+        .agg(n_vecs="size", min_vec_id="min", max_vec_id="max")
+        .reset_index()
+        .astype({"vpart": "int64", "n_vecs": "int64"})
+    )
+    got_v = store_vector_summary(store)
+    _frames_equal(
+        got_v.astype({"min_vec_id": "int64", "max_vec_id": "int64"}),
+        exp.astype({"min_vec_id": "int64", "max_vec_id": "int64"}),
+        ["vpart"],
+    )
+    return got
+
+
+def test_three_delta_ingest_equals_full_recompute(ray_session, deltas, tmp_path):
+    from biomedical_ner_ray.pipelines.ingest import ingest_delta, store_edges
 
     p, delta_paths = deltas
     store = str(tmp_path / "store")
@@ -83,36 +117,8 @@ def test_three_delta_ingest_equals_full_recompute(ray_session, deltas, tmp_path)
     state = json.load(open(os.path.join(store, "store.json")))
     assert state["generation"] == 2
 
-    # ---- final edge table == from-scratch recompute over survivors --
-    import pyarrow.parquet as pq
-
-    alias_rows = pq.read_table(p["alias_dict"]).to_pylist()
-    alias_ref = ray.put(AliasDict(alias_rows))
-    comp_ref = ray.put(canonical_components(alias_rows))
-    surv = store_turns(store).materialize()
-    ann = annotate_stage(
-        surv.select_columns(["conv_id", "turn_idx", "text"]), alias_ref
-    )
-    full = edges_stage(lambda: triples_stage(ann), comp_ref).to_pandas()
-    got = store_edges(store).to_pandas()
-    assert len(got) > 0
-    _frames_equal(got, full, ["subj_cui", "pred", "obj_cui"])
-
-    # ---- vector-store summary == per-turn recompute ------------------
-    sdf = surv.to_pandas()
-    sdf["vpart"] = [ _vpart(_turn_vector(t)) for t in sdf["text"] ]
-    exp = (
-        sdf.groupby("vpart")["doc_id"]
-        .agg(n_vecs="size", min_vec_id="min", max_vec_id="max")
-        .reset_index()
-        .astype({"vpart": "int64", "n_vecs": "int64"})
-    )
-    got_v = store_vector_summary(store)
-    _frames_equal(
-        got_v.astype({"min_vec_id": "int64", "max_vec_id": "int64"}),
-        exp.astype({"min_vec_id": "int64", "max_vec_id": "int64"}),
-        ["vpart"],
-    )
+    # ---- final edge table + vector summary == recompute -------------
+    got = _assert_store_equals_recompute(store, p["alias_dict"])
 
     # ---- crash-safety: an orphan next-generation dir is rebuilt -----
     orphan = os.path.join(store, "gen3")
@@ -120,7 +126,7 @@ def test_three_delta_ingest_equals_full_recompute(ray_session, deltas, tmp_path)
     open(os.path.join(orphan, "junk.parquet"), "w").close()
     # new delta content (re-use delta0 with a marker row removed → new
     # fingerprint): simplest is re-ingesting an edited copy
-    import pyarrow as pa
+    import pyarrow.parquet as pq
 
     t = pq.read_table(os.path.join(delta_paths[0], "part.parquet"))
     d4 = str(tmp_path / "delta_edit")
@@ -137,3 +143,40 @@ def test_three_delta_ingest_equals_full_recompute(ray_session, deltas, tmp_path)
     assert not os.path.exists(os.path.join(store, "gen2"))
     # the carried store still serves the same edge table
     assert store_edges(store).count() == len(got)
+
+
+def test_carry_over_falls_back_to_copy_across_filesystems(
+    ray_session, deltas, tmp_path, monkeypatch
+):
+    """Where hardlinks fail (a store spanning filesystems: EXDEV), every
+    carry-over — registry/index trees and untouched edge buckets and
+    vector partitions — copies instead, and the store still equals the
+    recompute."""
+    import errno
+
+    from biomedical_ner_ray.pipelines.ingest import ingest_delta
+
+    calls = []
+
+    def no_link(src, dst, *a, **kw):
+        calls.append(dst)
+        raise OSError(errno.EXDEV, "Invalid cross-device link")
+
+    p, delta_paths = deltas
+    # a small second delta leaves most edge buckets untouched
+    import pyarrow.parquet as pq
+
+    small = str(tmp_path / "small_delta")
+    os.makedirs(small)
+    t = pq.read_table(os.path.join(delta_paths[1], "part.parquet"))
+    pq.write_table(t.slice(0, 40), os.path.join(small, "part.parquet"))
+
+    monkeypatch.setattr(os, "link", no_link)
+    store = str(tmp_path / "store")
+    for d in (delta_paths[0], small):
+        assert not ingest_delta(store, d, p["alias_dict"]).get("skipped")
+    gen1 = os.sep + "gen1" + os.sep
+    carried = {c.split(gen1)[1].split(os.sep)[0] for c in calls if gen1 in c}
+    assert {"turns", "edges", "vectors"} <= carried
+    assert all(os.stat(c).st_nlink == 1 for c in calls)
+    _assert_store_equals_recompute(store, p["alias_dict"])

@@ -82,3 +82,26 @@ def test_run_stage_resume_skip_still_works(tmp_path):
     assert pq.read_table(os.path.join(out_dir, "part.parquet")).column(
         "x"
     ).to_pylist() == [9] * 3
+
+
+def test_legacy_lock_kept_under_live_holder(tmp_path):
+    """The migration sweep removes an old-release ``<out_dir>.lock`` only
+    when nobody holds it, and never creates one."""
+    import fcntl
+
+    out_dir = str(tmp_path / "stage_out3")
+    legacy = out_dir + ".lock"
+    mf.run_stage("s", out_dir, mf.fingerprint("a"), lambda d: _build(d, 1, 0.0))
+    assert not os.path.exists(legacy)
+
+    # a live older-release writer holds the legacy lock (its own open
+    # file description, so this process's flock does not share it)
+    with open(legacy, "w") as holder:
+        fcntl.flock(holder, fcntl.LOCK_EX)
+        m = mf.run_stage("s", out_dir, mf.fingerprint("b"), lambda d: _build(d, 2, 0.0))
+        assert m["skipped"] is False
+        assert os.path.exists(legacy)
+
+    # released: the next run sweeps it
+    mf.run_stage("s", out_dir, mf.fingerprint("c"), lambda d: _build(d, 3, 0.0))
+    assert not os.path.exists(legacy)

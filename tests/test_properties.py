@@ -7,13 +7,11 @@ from hypothesis import strategies as st
 
 from biomedical_ner_ray.fixtures import alias_rows
 from biomedical_ner_ray.kernels.bio import extract_entities
-from biomedical_ner_ray.kernels.crf import CRFScorer
 from biomedical_ner_ray.kernels.markup import parse_annotated_text
 from biomedical_ner_ray.kernels.tagger import AliasDict, tag_tokens
 from biomedical_ner_ray.kernels.tokenize import MAX_SEQ_LEN, TOKEN_RE, tokenize_text
 
 _AD = AliasDict(alias_rows())
-_CRF = CRFScorer(sorted({e.type for e in _AD.by_key.values()}))
 
 text_st = st.text(
     alphabet=st.characters(codec="ascii", exclude_categories=("Cc", "Cs")),
@@ -91,15 +89,6 @@ def test_tagger_outputs_valid_bio(tokens):
         if i >= MAX_SEQ_LEN:
             assert t == "O"
         prev = t
-
-
-@given(st.lists(token_st, min_size=1, max_size=30))
-@settings(max_examples=75, deadline=None)
-def test_crf_decode_equivalence_property(tokens):
-    """Decode-equivalence guarantee holds for arbitrary token lists,
-    not just fixture text (kernels/crf.py docstring contract)."""
-    dict_tags = tag_tokens(tokens, _AD)
-    assert _CRF.decode(tokens, dict_tags) == dict_tags
 
 
 @given(st.lists(st.tuples(types_st, st.text(

@@ -60,7 +60,7 @@ def test_torch_twin_matches_numpy_emissions(combi_ckpt, alias_rows_fx):
     types = sorted(
         {e.type for e in AliasDict(alias_rows_fx).by_key.values()}
     )
-    np_sc = CombinatorialScorer(types, checkpoint_path=combi_ckpt, trained=True)
+    np_sc = CombinatorialScorer(types, checkpoint_path=combi_ckpt)
     th_sc = TorchCombinatorialScorer(types, combi_ckpt, device="cpu")
     toks = "please schedule a follow-up scan for the left knee".split()
     np.testing.assert_allclose(
