@@ -19,7 +19,8 @@ files are HARDLINKED (O(#files) metadata ops, zero data copy), touched
 buckets are rewritten merged, and the store manifest (``store.json``)
 flips to the new generation with one fsynced atomic rename. A crash
 mid-build leaves ``gen<k>`` intact and the orphan ``gen<k+1>`` is
-rebuilt from scratch on the next ingest; re-submitting an
+rebuilt from scratch on the next ingest, and a superseded generation a
+kill left behind after the flip is swept by it; re-submitting an
 already-applied delta is a fingerprint-matched no-op (path + size +
 mtime_ns — idempotent at-least-once ingest), concurrent ingests on one
 store serialize on a flock, and a turn id already in the registry is
@@ -66,6 +67,18 @@ VEC_PARTS = 16
 _VPLANES = None
 
 STORE_VERSION = "ingest-store-v1"
+
+# Column types of the store's registry and edge tables: what a
+# generation that holds no files yet (a bootstrap delta with no
+# survivors) reads back as.
+TURNS_SCHEMA = pa.schema(
+    [("doc_id", pa.int64()), ("conv_id", pa.string()),
+     ("turn_idx", pa.int32()), ("text", pa.string())]
+)
+EDGES_SCHEMA = pa.schema(
+    [("subj_cui", pa.string()), ("pred", pa.string()),
+     ("obj_cui", pa.string()), ("weight", pa.int64())]
+)
 
 
 def _vplanes() -> np.ndarray:
@@ -232,6 +245,44 @@ def ingest_delta(
         lock_f.close()
 
 
+def _carry_generation(store_dir: str, state: dict, dfp: str, n_delta: int,
+                      t0: float) -> dict:
+    """Flip to a generation that adds nothing: a pure hardlink carry of
+    the live one when no delta turn survived dedup/the re-ingest guard,
+    or a valid empty generation for a bootstrap delta. The delta is
+    still RECORDED so re-submission stays a fingerprint no-op."""
+    from ..stages.dedup import INDEX_LAYOUT_VERSION
+
+    gen = state["generation"]
+    new_gen = gen + 1
+    old = _gen_dir(store_dir, gen)
+    nd = _gen_dir(store_dir, new_gen)
+    for sub in ("turns", "edges", "vectors", "bands", "shingles"):
+        src = os.path.join(old, sub)
+        dst = os.path.join(nd, sub)
+        os.makedirs(dst, exist_ok=True)
+        if os.path.isdir(src):
+            _hardlink_tree(src, dst)
+    with open(os.path.join(nd, "_LAYOUT_VERSION"), "w") as f:
+        f.write(INDEX_LAYOUT_VERSION)
+    report = {
+        "delta": new_gen,
+        "fingerprint": dfp,
+        "n_delta_turns": n_delta,
+        "n_kept": 0,
+        "n_dropped": n_delta,
+        "touched_edge_buckets": [],
+        "touched_vparts": [],
+        "wall_sec": round(time.perf_counter() - t0, 3),
+    }
+    state["generation"] = new_gen
+    state["deltas"].append(report)
+    _flip_state(store_dir, state)
+    if gen >= 0:
+        shutil.rmtree(old, ignore_errors=True)
+    return report
+
+
 def _ingest_delta_locked(
     store_dir: str,
     transcripts: str,
@@ -255,6 +306,13 @@ def _ingest_delta_locked(
     from ..stages.graph import edges_stage
 
     state = _store_state(store_dir)
+    # A kill between a flip and the rmtree of the superseded generation
+    # leaks that generation; nothing reads below the live one, so sweep
+    # them all (the caller holds the store lock).
+    live = state["generation"]
+    for name in os.listdir(store_dir):
+        if name.startswith("gen") and name[3:].isdigit() and int(name[3:]) < live:
+            shutil.rmtree(os.path.join(store_dir, name), ignore_errors=True)
     dfp = _delta_fingerprint(transcripts)
     for d in state["deltas"]:
         if d["fingerprint"] == dfp:
@@ -293,6 +351,10 @@ def _ingest_delta_locked(
         .map_batches(with_ids, batch_format="pyarrow")
         .materialize()
     )
+
+    n_delta = delta_all.count()
+    if n_delta == 0:  # an empty read yields blocks with no columns
+        return _carry_generation(store_dir, state, dfp, 0, t0)
 
     def delta_docs():
         return delta_all
@@ -335,11 +397,9 @@ def _ingest_delta_locked(
                 drops.append(b)
         return pd.DataFrame({"doc_id": np.asarray(sorted(drops), dtype=np.int64)})
 
-    drops = set(
-        pairs.map_batches(drop_list, batch_format="pandas")
-        .to_pandas()["doc_id"]
-        .tolist()
-    )
+    drop_df = pairs.map_batches(drop_list, batch_format="pandas").to_pandas()
+    # a delta with no candidate pairs yields a frame with no columns
+    drops = set(drop_df["doc_id"].tolist()) if len(drop_df) else set()
 
     # Re-ingest guard: a delta turn whose (conv_id, turn_idx) already
     # lives in the registry is DROPPED — the store is append-only per
@@ -399,38 +459,10 @@ def _ingest_delta_locked(
         )
         .materialize()  # consumed by: registry, annotate, vectors, index
     )
-    n_delta = delta_all.count()
     n_kept = survivors.count()
 
-    if n_kept == 0 and gen >= 0:
-        # Nothing survived dedup/the re-ingest guard: the new generation
-        # is a pure hardlink carry of the old one (the delta is still
-        # RECORDED so re-submission stays a fingerprint no-op).
-        for sub in ("turns", "edges", "vectors", "bands", "shingles"):
-            src = os.path.join(old, sub)
-            dst = os.path.join(nd, sub)
-            os.makedirs(dst, exist_ok=True)
-            if os.path.isdir(src):
-                _hardlink_tree(src, dst)
-        from ..stages.dedup import INDEX_LAYOUT_VERSION
-
-        with open(os.path.join(nd, "_LAYOUT_VERSION"), "w") as f:
-            f.write(INDEX_LAYOUT_VERSION)
-        report = {
-            "delta": new_gen,
-            "fingerprint": dfp,
-            "n_delta_turns": int(n_delta),
-            "n_kept": 0,
-            "n_dropped": int(n_delta),
-            "touched_edge_buckets": [],
-            "touched_vparts": [],
-            "wall_sec": round(time.perf_counter() - t0, 3),
-        }
-        state["generation"] = new_gen
-        state["deltas"].append(report)
-        _flip_state(store_dir, state)
-        shutil.rmtree(old, ignore_errors=True)
-        return report
+    if n_kept == 0:
+        return _carry_generation(store_dir, state, dfp, int(n_delta), t0)
 
     # ---- turn registry ----------------------------------------------
     turns_dir = os.path.join(nd, "turns")
@@ -454,14 +486,13 @@ def _ingest_delta_locked(
         .map_batches(_with_edge_bucket, batch_format="pandas")
         .materialize()
     )
-    touched_e = set(
-        delta_edges.map_batches(
-            lambda df: pd.DataFrame({"edge_bucket": df["edge_bucket"].unique()}),
-            batch_format="pandas",
-        )
-        .to_pandas()["edge_bucket"]
-        .unique()
-        .tolist()
+    touched_df = delta_edges.map_batches(
+        lambda df: pd.DataFrame({"edge_bucket": df["edge_bucket"].unique()}),
+        batch_format="pandas",
+    ).to_pandas()
+    # survivors with no triples yield a frame with no columns
+    touched_e = (
+        set(touched_df["edge_bucket"].unique().tolist()) if len(touched_df) else set()
     )
 
     edges_dir = os.path.join(nd, "edges")
@@ -612,22 +643,25 @@ def _ingest_delta_locked(
     return report
 
 
-def store_edges(store_dir: str):
-    """Live weighted edge table of the store as a Dataset."""
+def _store_table(store_dir: str, sub: str, schema: pa.Schema, columns=None):
+    """One table of the live generation as a Dataset; a generation that
+    holds no files for it reads as an empty Dataset of ``schema``."""
     state = _store_state(store_dir)
     files = list_parquet_files(
-        os.path.join(_gen_dir(store_dir, state["generation"]), "edges")
+        os.path.join(_gen_dir(store_dir, state["generation"]), sub)
     )
-    return rd.read_parquet(files, columns=["subj_cui", "pred", "obj_cui", "weight"])
+    if not files:
+        return rd.from_arrow(schema.empty_table())
+    return rd.read_parquet(files, columns=columns)
+
+
+def store_edges(store_dir: str):
+    """Live weighted edge table of the store as a Dataset."""
+    return _store_table(store_dir, "edges", EDGES_SCHEMA, EDGES_SCHEMA.names)
 
 
 def store_turns(store_dir: str):
-    state = _store_state(store_dir)
-    return rd.read_parquet(
-        list_parquet_files(
-            os.path.join(_gen_dir(store_dir, state["generation"]), "turns")
-        )
-    )
+    return _store_table(store_dir, "turns", TURNS_SCHEMA)
 
 
 def store_vector_summary(store_dir: str) -> pd.DataFrame:

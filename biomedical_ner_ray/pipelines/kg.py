@@ -6,14 +6,19 @@ Stage graph (each stage a resumable Parquet checkpoint, SURVEY.md §7.2)::
     turns_sorted ──TurnAnnotator actor pool──▶ annotations    [per-bucket resume]
     annotations ──explode──▶ mentions                          [row-local]
     annotations ──explode──▶ triples                           [row-local]
-    mentions ──partial-count + groupby──▶ nodes                [tiny shuffle]
-    triples ──partial-count + groupby──▶ edges                 [tiny shuffle]
+    mentions ──partial-count + keyed combine──▶ nodes          [sized exchange]
+    triples ──partial-count + keyed combine──▶ edges           [sized exchange]
 
 Scale notes:
 - The only large shuffle is the (conv_id, turn_idx) sort the north rule
   mandates for stable turn ordering; everything NER-ish is row-local, so
   the annotate stage streams with backpressure and scales linearly with
   the actor pool.
+- nodes/edges are one keyed exchange each (stages/exchange.py): the
+  partial counts are combined in the calling process when they fit
+  ``BYTES_PER_PARTITION`` (the usual case — a few thousand rows) and
+  shuffled otherwise, and the same exchange writes the sorted
+  ``part-<pid>.parquet`` shards.
 - The annotate stage is partitioned into buckets of input files, each
   with its own lineage manifest → a killed run resumes per-partition.
 - The alias dictionary is broadcast once (``ray.put``) and resolved once
@@ -33,7 +38,8 @@ from ..kernels.tagger import AliasDict
 from ..oracle import canonical_components
 from ..stages.annotate import annotate_stage
 from ..stages.explode import mentions_stage, triples_stage
-from ..stages.graph import edges_stage, node_meta, nodes_stage
+from ..stages.exchange import partitions_for, sharded_sorted_write
+from ..stages.graph import edges_plan, node_meta, nodes_plan
 from ..state import manifest as mf
 
 STAGE_VERSION = "kg-v4"
@@ -249,19 +255,15 @@ def run_kg_pipeline(
                         lambda t: t.filter(t["cui"].is_valid()), batch_format="pyarrow"
                     )
 
-                # key-hash-sharded deterministic artifact: every shard is a
-                # stable subset (hash(cui) % N) written sorted as its own
-                # part file, so reruns are byte-identical per shard and no
-                # global sort→repartition(1) single-file bottleneck exists —
-                # at 10^8+ keys just raise n_shards
-                from ..stages.exchange import partitions_for, sharded_sorted_write
-
+                # key-hash-sharded deterministic artifact, written by the
+                # combine itself: shard = exchange partition (hash(cui) % P),
+                # each written sorted as its own part file, so reruns are
+                # byte-identical per shard and no global sort→repartition(1)
+                # single-file bottleneck exists; P grows with the input
                 sharded_sorted_write(
-                    nodes_stage(
-                        lm_factory, comp_ref, meta_ref,
-                        num_partitions=partitions_for(ann_root),
-                    ),
-                    ["cui"], tmp,
+                    *nodes_plan(lm_factory, comp_ref, meta_ref),
+                    tmp,
+                    partitions_for(ann_root),
                 )
 
             n = mf.run_stage(
@@ -281,18 +283,15 @@ def run_kg_pipeline(
             )
 
             def build_edges(tmp):
-                from ..stages.exchange import partitions_for, sharded_sorted_write
-
                 sharded_sorted_write(
-                    edges_stage(
+                    *edges_plan(
                         lambda: _read(
                             triples_dir, columns=["subj_cui", "pred", "obj_cui"]
                         ),
                         comp_ref,
-                        num_partitions=partitions_for(triples_dir),
                     ),
-                    ["subj_cui", "pred", "obj_cui"],
                     tmp,
+                    partitions_for(triples_dir),
                 )
 
             e = mf.run_stage(

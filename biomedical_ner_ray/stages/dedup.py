@@ -344,6 +344,10 @@ def _fetch_verify(
     import ray
     import ray.data as rd
 
+    if n_pairs == 0:
+        # no candidate pairs: an empty stream writes no handoff files
+        return rd.from_pandas(_PAIR_EMPTY.copy())
+
     if 2 * n_pairs <= broadcast_id_limit:
         # BROADCAST path (the common case): the candidate id set —
         # bounded by pairs, orders of magnitude below corpus size — is

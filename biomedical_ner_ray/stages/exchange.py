@@ -11,15 +11,29 @@ pandas combine per partition.
 ``keyed_exchange`` implements the co-location WITHOUT the HASH_SHUFFLE
 strategy: a deterministic row hash of the key columns
 (``pd.util.hash_pandas_object``, process-stable) assigns each row a
-partition id ``_pid`` in [0, P); a sort-based ``groupby("_pid").
-map_groups`` then hands each complete partition to the combine function
-in one pandas call. The groupby key has only P distinct values, so the
-per-group Python overhead that makes raw key groupbys slow is O(P)=O(8)
-here — negligible — and there are NO aggregator actor pools to
-schedule, no DataContext flipping, and no cross-thread locking.
-(An earlier HASH_SHUFFLE-based version hit aggregator-actor scheduling
-stalls in long many-execution sessions; this formulation has no actors
-to stall.)
+partition id ``_pid`` in [0, P), and the combine function sees each
+complete partition in one pandas call. How the partitions meet is
+sized by the measured bytes of the ``_pid``-tagged stream, which is
+materialized once:
+
+- at most ``BYTES_PER_PARTITION`` (the whole stream fits one
+  partition's budget): the partitions are combined in the calling
+  process, in ascending ``_pid`` order, one output block each. This is
+  the common case for pre-aggregated partials (the KG node/edge counts
+  are a few thousand rows), where a shuffle's fixed cost — seconds of
+  task scheduling — dwarfs the data;
+- larger: a sort-based ``groupby("_pid").map_groups`` shuffle. The
+  groupby key has only P distinct values, so the per-group Python
+  overhead that makes raw key groupbys slow is O(P) here, and there are
+  NO aggregator actor pools to schedule, no DataContext flipping, and
+  no cross-thread locking. (An earlier HASH_SHUFFLE-based version hit
+  aggregator-actor scheduling stalls in long many-execution runs;
+  this formulation has no actors to stall.)
+
+The threshold is the one constant, ``BYTES_PER_PARTITION``; both paths
+give the same partitions, so the choice is physical, never semantic.
+``sharded_sorted_write`` runs the same exchange and writes each
+combined partition as its own sorted shard file.
 
 ``num_partitions`` sizes the exchange: one partition's rows (~#keys/P
 of the PRE-AGGREGATED stream) must fit a worker's pandas heap. Call
@@ -45,7 +59,9 @@ PID_COL = "_pid"
 # One exchange partition should hold ~this much DECOMPRESSED keyed
 # stream (a partition is combined in one pandas call on one worker, so
 # it must fit a worker heap with headroom). 64MB × the default 4×
-# parquet→pandas expansion ⇒ ~16MB of parquet per partition.
+# parquet→pandas expansion ⇒ ~16MB of parquet per partition. It is
+# also keyed_exchange's size rule: a whole keyed stream this small is
+# combined in the calling process instead of shuffled.
 BYTES_PER_PARTITION = 64 << 20
 # Back-compat floor: below ~0.5GB of stream the sort-based shuffle's
 # O(blocks²) tiny-object overhead dominates, so fewer, fatter
@@ -157,25 +173,18 @@ def _meter_add(meter, label: str, field: str, df) -> None:
     )
 
 
-def keyed_exchange(ds, keys, fn, num_partitions: int | None = None,
-                   label: str | None = None):
-    """Co-locate rows by ``keys`` and apply ``fn`` once per complete
-    partition (a pandas DataFrame containing EVERY row of each key that
-    hashes into that partition).
+def _exchange(ds, keys, fn, num_partitions, label, emit):
+    """Shared core of ``keyed_exchange`` and ``sharded_sorted_write``.
 
-    The input is coalesced to ``max(num_partitions, 8)`` blocks first:
-    the sort-based shuffle behind ``groupby`` pays O(blocks²) tiny
-    inter-block objects, so inheriting a wide scan's block count (64
-    blocks at 32 CPUs) costs ~12s of pure overhead where 8 blocks cost
-    <1s (measured; see queries.py:53). Callers size ``num_partitions``
-    to the data volume (one partition's rows must fit a worker's pandas
-    heap), so tying the input block count to it keeps blocks ~partition-
-    sized at any scale.
-
-    Inside an ``exchange_metering()`` scope, the stream entering the
-    exchange and the combined output are measured (rows + deep pandas
-    bytes) under ``label`` (default: combine-fn name + keys)."""
+    Tags every row with ``_pid = hash(keys) % num_partitions``,
+    materializes that stream once and, per non-empty ``_pid`` group,
+    calls ``fn(group)`` (the combine) and then ``emit(pid, out)`` on a
+    non-empty result; ``None`` and empty results are skipped. Small
+    streams (``size_bytes() <= BYTES_PER_PARTITION``) are grouped in
+    the calling process, in ascending ``_pid`` order, one output block
+    per group; larger ones take the sort-based shuffle."""
     import pandas as pd
+    import ray.data as rd
 
     if num_partitions is None:
         num_partitions = DEFAULT_PARTITIONS
@@ -189,23 +198,67 @@ def keyed_exchange(ds, keys, fn, num_partitions: int | None = None,
         h = pd.util.hash_pandas_object(df[keys], index=False)
         return df.assign(**{PID_COL: (h % num_partitions).astype("int64")})
 
-    def run(g: "pd.DataFrame") -> "pd.DataFrame":
+    def group(pid: int, g: "pd.DataFrame"):
         out = fn(g.drop(columns=[PID_COL]))
-        if (
-            meter is not None
-            and out is not None
-            and hasattr(out, "memory_usage")
-            and len(out)
-        ):
+        if out is None or not len(out):
+            return None
+        if meter is not None and hasattr(out, "memory_usage"):
             _meter_add(meter, mlabel, "out", out)
-        return out
+        return emit(pid, out)
 
+    tagged = ds.map_batches(add_pid, batch_format="pandas").materialize()
+    if tagged.size_bytes() <= BYTES_PER_PARTITION:
+        df = tagged.to_pandas()
+        blocks = []
+        if len(df):
+            for pid, g in df.groupby(PID_COL, sort=True):
+                out = group(int(pid), g.reset_index(drop=True))
+                if out is not None:
+                    blocks.append(out)
+        return rd.from_blocks(blocks)
+
+    def run(g: "pd.DataFrame") -> "pd.DataFrame":
+        out = group(int(g[PID_COL].iloc[0]), g)
+        return pd.DataFrame() if out is None else out
+
+    # the sort-based shuffle behind groupby pays O(blocks²) tiny
+    # inter-block objects: coalesce to ~partition-sized blocks first
     return (
-        ds.repartition(max(num_partitions, 8))
-        .map_batches(add_pid, batch_format="pandas")
+        tagged.repartition(max(num_partitions, 8))
         .groupby(PID_COL)
         .map_groups(run, batch_format="pandas")
     )
+
+
+def keyed_exchange(ds, keys, fn, num_partitions: int | None = None,
+                   label: str | None = None):
+    """Co-locate rows by ``keys`` and apply ``fn`` once per complete
+    partition (a pandas DataFrame containing EVERY row of each key that
+    hashes into that partition).
+
+    Size rule: the ``_pid``-tagged stream is materialized once; if it
+    holds at most ``BYTES_PER_PARTITION`` bytes, ``fn`` runs in the
+    calling process on each non-empty partition in ascending ``_pid``
+    order (index reset), and the result is one block per partition.
+    A small stream is a few thousand partial rows, and a shuffle's
+    fixed cost (seconds of task scheduling) dwarfs one pandas call on
+    it. Larger streams are coalesced to ``max(num_partitions, 8)``
+    blocks and shuffled by a sort-based ``groupby(_pid).map_groups``:
+    inheriting a wide scan's block count (64 blocks at 32 CPUs) costs
+    ~12s of O(blocks²) shuffle overhead where 8 blocks cost <1s
+    (measured). Callers size ``num_partitions`` to the data volume (one
+    partition's rows must fit a worker's pandas heap). The threshold is
+    the same constant on both sides: a stream the in-process path takes
+    fits one partition by definition.
+
+    ``fn`` may return a pandas frame, an Arrow table, ``None`` or an
+    empty frame; ``None`` and empty results are dropped, and if every
+    partition yields nothing the result is an empty Dataset.
+
+    Inside an ``exchange_metering()`` scope, the stream entering the
+    exchange and the combined output are measured (rows + deep pandas
+    bytes) under ``label`` (default: combine-fn name + keys)."""
+    return _exchange(ds, keys, fn, num_partitions, label, lambda pid, out: out)
 
 
 def grouped_aggregate(ds, keys, partial_fn, combine_fn, num_partitions: int | None = None):
@@ -216,15 +269,18 @@ def grouped_aggregate(ds, keys, partial_fn, combine_fn, num_partitions: int | No
     return keyed_exchange(partials, keys, combine_fn, num_partitions)
 
 
-def sharded_sorted_write(ds, keys, out_dir, n_shards: int = 8, sort_cols=None):
-    """Deterministic key-hash-sharded parquet writer.
+def sharded_sorted_write(ds, keys, fn, out_dir, num_partitions: int | None = None):
+    """``keyed_exchange(ds, keys, fn, num_partitions)`` written as a
+    deterministic key-hash-sharded parquet artifact, in ONE exchange.
 
-    Every row lands in shard ``hash(keys) % n_shards`` (process-stable
-    pandas hash), each shard is sorted on ``sort_cols`` and written as
-    exactly ``part-<shard>.parquet`` — so reruns produce byte-identical
-    files WITHOUT a global sort + repartition(1) single-file bottleneck:
-    shards build in parallel, and a resumable run can diff/skip per
-    shard. Returns a (shard, rows) summary DataFrame."""
+    Each partition's combined output is mergesorted on ``keys`` and
+    written as exactly ``part-<_pid:05d>.parquet``: the shard id IS the
+    exchange partition id (never a re-hash of the combined frame), so
+    the shard count follows ``num_partitions``. Reruns produce
+    byte-identical files WITHOUT a global sort + repartition(1)
+    single-file bottleneck: shards build in parallel, and a resumable
+    run can diff/skip per shard. Returns a (shard, rows) summary
+    DataFrame."""
     import os
 
     import pandas as pd
@@ -232,31 +288,16 @@ def sharded_sorted_write(ds, keys, out_dir, n_shards: int = 8, sort_cols=None):
     import pyarrow.parquet as pq
 
     keys = list(keys)
-    sort_cols = list(sort_cols or keys)
 
-    def add_shard(df: "pd.DataFrame") -> "pd.DataFrame":
-        h = pd.util.hash_pandas_object(df[keys], index=False)
-        return df.assign(_shard=(h % n_shards).astype("int64"))
-
-    def write_group(g: "pd.DataFrame") -> "pd.DataFrame":
-        shard = int(g["_shard"].iloc[0])
-        out = (
-            g.drop(columns=["_shard"])
-            .sort_values(sort_cols, kind="mergesort")
-            .reset_index(drop=True)
-        )
+    def write_shard(pid: int, out: "pd.DataFrame") -> "pd.DataFrame":
+        out = out.sort_values(keys, kind="mergesort").reset_index(drop=True)
         pq.write_table(
             pa.Table.from_pandas(out, preserve_index=False),
-            os.path.join(out_dir, f"part-{shard:05d}.parquet"),
+            os.path.join(out_dir, f"part-{pid:05d}.parquet"),
         )
-        return pd.DataFrame({"shard": [shard], "rows": [len(out)]})
+        return pd.DataFrame({"shard": [pid], "rows": [len(out)]})
 
-    return (
-        ds.map_batches(add_shard, batch_format="pandas")
-        .groupby("_shard")
-        .map_groups(write_group, batch_format="pandas")
-        .to_pandas()
-    )
+    return _exchange(ds, keys, fn, num_partitions, None, write_shard).to_pandas()
 
 
 # The DataContext flip is process-global; dataset CONSTRUCTION windows

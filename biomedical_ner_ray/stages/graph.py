@@ -1,15 +1,23 @@
 """Graph materialization: deduplicated node / edge tables.
 
 Scale pattern (ray_guide "Aggregation at scale"): pre-aggregate partial
-counts inside ``map_batches`` (one row per key per batch) so the shuffle
-only ever moves the tiny partials, never the raw mention / triple
-streams; the combine is the keyed hash exchange + vectorized pandas
+counts inside ``map_batches`` (one row per key per batch) so the
+exchange only ever moves the tiny partials, never the raw mention /
+triple streams; the combine is the keyed exchange + vectorized pandas
 merge from ``stages/exchange.py`` (the built-in aggregate's per-group
 Python finalize is the bottleneck at high key cardinality). The
+exchange sizes itself: partials that fit ``BYTES_PER_PARTITION`` are
+combined in the calling process, larger ones are shuffled. The
 CUI→component map and per-CUI metadata are broadcast dicts resolved once
 per task closure (SURVEY.md J7).
 
-Both stages take a zero-arg Dataset factory: the read must be created
+Each table has a plan (``nodes_plan`` / ``edges_plan``: the partial
+stream, its keys and its combine) and two ways to run it: the
+``*_stage`` functions return the combined Dataset, and the flagship
+pipeline hands the same plan to ``sharded_sorted_write``, which
+combines and writes the sorted shard files in the same exchange.
+
+The plans take a zero-arg Dataset factory: the read must be created
 inside the ``hash_shuffle`` scope (a Dataset captures its DataContext at
 root creation).
 """
@@ -24,8 +32,9 @@ from .exchange import keyed_exchange
 EDGE_KEYS = ["subj_cui", "pred", "obj_cui"]
 
 
-def nodes_stage(linked_mentions_factory, comp_ref, meta_ref, num_partitions: int = 8):
-    """linked_mentions → nodes(cui, canonical_name, type, mention_count).
+def nodes_plan(linked_mentions_factory, comp_ref, meta_ref):
+    """(partials, keys, combine) of the node table: per-batch canonical
+    CUI counts, keyed on ``cui``.
 
     comp_ref: dict cui → canonical component id (min CUI).
     meta_ref: dict cui → (canonical_name, type) for component reps.
@@ -46,12 +55,19 @@ def nodes_stage(linked_mentions_factory, comp_ref, meta_ref, num_partitions: int
     partials = linked_mentions_factory().map_batches(
         partial_counts, batch_format="pandas"
     )
-    return keyed_exchange(partials, ["cui"], combine, num_partitions)
+    return partials, ["cui"], combine
 
 
-def edges_stage(triples_factory, comp_ref, num_partitions: int = 8):
-    """triples → edges(subj_cui, pred, obj_cui, weight); canonical-remapped,
-    self-loops dropped, exact-deduped with weights = occurrence counts."""
+def nodes_stage(linked_mentions_factory, comp_ref, meta_ref, num_partitions: int = 8):
+    """linked_mentions → nodes(cui, canonical_name, type, mention_count)."""
+    return keyed_exchange(
+        *nodes_plan(linked_mentions_factory, comp_ref, meta_ref), num_partitions
+    )
+
+
+def edges_plan(triples_factory, comp_ref):
+    """(partials, keys, combine) of the edge table: per-batch counts of
+    canonical-remapped, non-self-loop triples, keyed on ``EDGE_KEYS``."""
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
         comp = resolve(comp_ref)
@@ -71,7 +87,13 @@ def edges_stage(triples_factory, comp_ref, num_partitions: int = 8):
         )[EDGE_KEYS + ["weight"]]
 
     partials = triples_factory().map_batches(partial, batch_format="pandas")
-    return keyed_exchange(partials, EDGE_KEYS, combine, num_partitions)
+    return partials, EDGE_KEYS, combine
+
+
+def edges_stage(triples_factory, comp_ref, num_partitions: int = 8):
+    """triples → edges(subj_cui, pred, obj_cui, weight); canonical-remapped,
+    self-loops dropped, exact-deduped with weights = occurrence counts."""
+    return keyed_exchange(*edges_plan(triples_factory, comp_ref), num_partitions)
 
 
 def node_meta(alias_rows: list[dict]) -> dict[str, tuple[str, str]]:

@@ -122,6 +122,23 @@ def test_minhash_join_semijoin_fallback_equivalent(ray_session):
     )
 
 
+def test_minhash_join_without_candidates_is_empty(ray_session):
+    """Docs that share no LSH band write no candidate handoff files; the
+    join returns no pairs instead of failing to read them."""
+    from biomedical_ner_ray.stages.dedup import minhash_pairs_join
+
+    docs = pd.DataFrame(
+        {
+            "doc_id": np.array([1, 2], dtype=np.int64),
+            "text": [
+                "the quick brown fox jumps over the lazy dog today",
+                "completely unrelated words about medicine and kidneys here",
+            ],
+        }
+    )
+    assert minhash_pairs_join(lambda: rd.from_pandas(docs)).count() == 0
+
+
 def test_fuzzy_decontaminate_pairs_straddle_split(ray_session):
     """doc_decontaminate_fuzzy = minhash pairs restricted to cross-split
     (eval, train): every output pair must straddle the md5 80/20 split,

@@ -180,3 +180,107 @@ def test_carry_over_falls_back_to_copy_across_filesystems(
     assert {"turns", "edges", "vectors"} <= carried
     assert all(os.stat(c).st_nlink == 1 for c in calls)
     _assert_store_equals_recompute(store, p["alias_dict"])
+
+
+def _small_delta(src_dir: str, dst: str, n: int = 40) -> str:
+    import pyarrow.parquet as pq
+
+    os.makedirs(dst)
+    t = pq.read_table(os.path.join(src_dir, "part.parquet"))
+    pq.write_table(t.slice(0, n), os.path.join(dst, "part.parquet"))
+    return dst
+
+
+def test_bootstrap_with_no_survivors_leaves_valid_empty_generation(
+    ray_session, deltas, tmp_path
+):
+    """A bootstrap delta with no rows records the delta and leaves an
+    empty, readable generation; a real delta then builds on it."""
+    import pyarrow.parquet as pq
+
+    from biomedical_ner_ray.pipelines.ingest import (
+        EDGES_SCHEMA,
+        TURNS_SCHEMA,
+        ingest_delta,
+        store_edges,
+        store_turns,
+    )
+
+    p, delta_paths = deltas
+    empty = str(tmp_path / "empty_delta")
+    os.makedirs(empty)
+    src = pq.read_table(os.path.join(delta_paths[0], "part.parquet"))
+    pq.write_table(src.schema.empty_table(), os.path.join(empty, "part.parquet"))
+
+    store = str(tmp_path / "store")
+    r0 = ingest_delta(store, empty, p["alias_dict"])
+    assert (r0["delta"], r0["n_delta_turns"], r0["n_kept"]) == (0, 0, 0)
+    assert ingest_delta(store, empty, p["alias_dict"]).get("skipped") is True
+    edges = store_edges(store).materialize()
+    turns = store_turns(store).materialize()
+    assert edges.count() == turns.count() == 0
+    assert edges.schema().base_schema == EDGES_SCHEMA
+    assert turns.schema().base_schema == TURNS_SCHEMA
+
+    r1 = ingest_delta(store, delta_paths[0], p["alias_dict"])
+    assert r1["delta"] == 1 and r1["n_kept"] > 0
+    assert not os.path.exists(os.path.join(store, "gen0"))
+    _assert_store_equals_recompute(store, p["alias_dict"])
+
+
+def test_leaked_superseded_generation_is_swept(ray_session, deltas, tmp_path):
+    """A kill between the flip and the removal of the superseded
+    generation leaks it; the next ingest removes every generation below
+    the live one."""
+    from biomedical_ner_ray.pipelines.ingest import ingest_delta
+
+    p, delta_paths = deltas
+    store = str(tmp_path / "store")
+    ingest_delta(store, delta_paths[0], p["alias_dict"])
+    ingest_delta(store, _small_delta(delta_paths[1], str(tmp_path / "d1")),
+                 p["alias_dict"])
+    assert sorted(n for n in os.listdir(store) if n.startswith("gen")) == ["gen1"]
+    # plant the leak: a stale generation below the live one
+    shutil.copytree(os.path.join(store, "gen1"), os.path.join(store, "gen0"))
+
+    r = ingest_delta(store, _small_delta(delta_paths[2], str(tmp_path / "d2")),
+                     p["alias_dict"])
+    assert r["delta"] == 2 and not r.get("skipped")
+    assert sorted(n for n in os.listdir(store) if n.startswith("gen")) == ["gen2"]
+    _assert_store_equals_recompute(store, p["alias_dict"])
+
+
+def test_delta_without_pairs_or_edges_then_real_delta(ray_session, deltas, tmp_path):
+    """A bootstrap delta whose turns form no near-dup candidate pair and
+    yield no triples stores its turns and no edges; a real delta then
+    builds on it."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from biomedical_ner_ray.pipelines.ingest import (
+        ingest_delta,
+        store_edges,
+        store_turns,
+    )
+
+    p, delta_paths = deltas
+    src = pq.read_table(os.path.join(delta_paths[0], "part.parquet")).slice(0, 2)
+    texts = [
+        "we will talk again next week about the schedule",
+        "thanks for calling, the office opens at nine tomorrow morning",
+    ]
+    t = src.set_column(
+        src.schema.get_field_index("conv_id"), "conv_id", pa.array(["quiet-a", "quiet-b"])
+    ).set_column(src.schema.get_field_index("text"), "text", pa.array(texts))
+    quiet = str(tmp_path / "quiet_delta")
+    os.makedirs(quiet)
+    pq.write_table(t, os.path.join(quiet, "part.parquet"))
+
+    store = str(tmp_path / "store")
+    r0 = ingest_delta(store, quiet, p["alias_dict"])
+    assert (r0["n_kept"], r0["touched_edge_buckets"]) == (2, [])
+    assert store_turns(store).count() == 2
+    assert store_edges(store).count() == 0
+
+    ingest_delta(store, delta_paths[0], p["alias_dict"])
+    _assert_store_equals_recompute(store, p["alias_dict"])
