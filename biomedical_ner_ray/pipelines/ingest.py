@@ -2,16 +2,26 @@
 three incremental primitives into one corpus-maintenance driver:
 
     delta transcripts
+      → ONE read+map, materialized once: turn ids, each turn's packed
+        shingle blob and its vector partition; every later step reads
+        these blocks
       → incremental near-dup against the PERSISTED LSH index
-        (stages/dedup.incremental_minhash_pairs; within-delta pairs via
-        minhash_pairs_join on the bootstrap delta)
+        (stages/dedup.incremental_minhash_pairs; the first delta, with
+        no index yet, gets its within-delta pairs from the same call)
       → annotate survivors (stages/annotate, broadcast alias dict)
-      → weighted-edge delta → touched-bucket KG edge upsert
+      → weighted-edge partials → touched-bucket KG edge upsert
         (the kg_update_edges mechanics, writing back to the store)
-      → deterministic turn vectors → touched-part vector-store upsert
-        (the emb_ivf_upsert mechanics: only touched hive parts are
-        read; untouched parts carry over without a data read)
-      → LSH index append (survivor band rows + shingle blobs)
+      → touched-part vector-store upsert (the emb_ivf_upsert mechanics:
+        only touched hive parts are read; untouched parts carry over
+        without a data read)
+      → LSH index append (survivor shingle blobs + band rows)
+
+A delta is a bounded micro-batch, so it runs as a handful of Ray Data
+executions and writes no intermediate handoff. The edge upsert, the
+vector upsert and the band append each run ONE keyed exchange whose
+combine writes the table's hive files
+(``stages/exchange.hive_partitioned_write``); only the turn registry
+and the shingle blobs take a plain ``write_parquet``.
 
 Store layout — CRASH-SAFE VERSIONED GENERATIONS: every delta builds
 ``gen<k+1>/`` next to the live ``gen<k>/``; untouched hive bucket/part
@@ -32,7 +42,8 @@ DATA files is the filesystem's domain (no per-file fsync).
 
 Scale posture: per delta the work is O(delta) + O(touched buckets) —
 the standing corpus is never re-read or re-shuffled; driver traffic is
-bounded aggregates (touched bucket ids, the delta's drop list). The
+int columns bounded by the delta (its doc ids, LSH candidate pairs and
+drop list) and bounded aggregates (touched bucket ids). The
 correctness contract is the kg_update_edges oracle discipline applied
 end-to-end: tests/test_ingest.py feeds three successive deltas and
 asserts the final edge table and vector-store summary EQUAL a
@@ -283,6 +294,24 @@ def _carry_generation(store_dir: str, state: dict, dfp: str, n_delta: int,
     return report
 
 
+def _carry_buckets(old_dir: str, new_dir: str, col: str, touched) -> dict:
+    """Hardlink every ``<col>=<v>`` bucket of ``old_dir`` that the delta
+    does not touch into ``new_dir``; returns ``{v: files}`` of the old
+    table's touched buckets (their rows are re-read and merged)."""
+    buckets: dict[int, list] = {}
+    for f in list_parquet_files(old_dir) if os.path.isdir(old_dir) else []:
+        v = int(os.path.basename(os.path.dirname(f)).split("=")[1])
+        buckets.setdefault(v, []).append(f)
+    for v, fs in buckets.items():
+        if v in touched:
+            continue
+        out = os.path.join(new_dir, f"{col}={v}")
+        os.makedirs(out, exist_ok=True)
+        for f in fs:
+            _link_or_copy(f, os.path.join(out, os.path.basename(f)))
+    return {v: fs for v, fs in buckets.items() if v in touched}
+
+
 def _ingest_delta_locked(
     store_dir: str,
     transcripts: str,
@@ -291,19 +320,27 @@ def _ingest_delta_locked(
     n_edge_buckets: int,
     t0: float,
 ) -> dict:
+    import pyarrow.dataset as pads
+
     from ..oracle import canonical_components
     from ..queries import _with_edge_bucket
     from ..stages.annotate import annotate_stage
     from ..stages.dedup import (
+        INDEX_BAND_BUCKETS,
+        INDEX_LAYOUT_VERSION,
         _band_rows_from_shingles,
-        _shingle_table,
-        _with_band_bucket,
+        _column,
         incremental_minhash_pairs,
-        minhash_pairs_join,
+        shingle_hashes,
     )
-    from ..stages.exchange import keyed_exchange
+    from ..stages.exchange import (
+        hive_partitioned_write,
+        keyed_exchange,
+        partitions_for,
+        read_files,
+    )
     from ..stages.explode import triples_stage
-    from ..stages.graph import edges_stage
+    from ..stages.graph import EDGE_KEYS, edges_plan
 
     state = _store_state(store_dir)
     # A kill between a flip and the rmtree of the superseded generation
@@ -324,31 +361,42 @@ def _ingest_delta_locked(
     if os.path.exists(nd):  # orphan from a killed run — rebuild
         shutil.rmtree(nd)
     os.makedirs(nd)
+    # every file this generation adds carries it in its name, so files
+    # added to append-only bucket dirs never collide with carried ones
+    fname = f"g{new_gen:05d}"
 
     # ---- delta docs: one turn = one doc -----------------------------
-    def with_ids(batch: pa.Table) -> pd.DataFrame:
+    def derive(batch: pa.Table) -> pa.Table:
+        """The delta's one read+map: turn ids, the packed shingle blob
+        the LSH index stores and the vector partition of each turn."""
         convs = batch["conv_id"].to_pylist()
         tixs = batch["turn_idx"].to_pylist()
         texts = batch["text"].to_pylist()
-        return pd.DataFrame(
+        cache: dict = {}
+        return pa.table(
             {
-                "doc_id": np.fromiter(
-                    (turn_doc_id(c, t) for c, t in zip(convs, tixs)),
-                    dtype=np.int64,
-                    count=len(convs),
+                "doc_id": pa.array(
+                    [turn_doc_id(c, t) for c, t in zip(convs, tixs)], pa.int64()
                 ),
-                "conv_id": convs,
-                "turn_idx": np.asarray(tixs, dtype=np.int32),
-                "text": texts,
+                "conv_id": pa.array(convs, pa.string()),
+                "turn_idx": pa.array(tixs, pa.int32()),
+                "text": pa.array(texts, pa.string()),
+                "shingles": pa.array(
+                    [shingle_hashes(t, cache=cache).tobytes() for t in texts],
+                    pa.binary(),
+                ),
+                "vpart": pa.array(
+                    [_vpart(_turn_vector(t)) for t in texts], pa.int64()
+                ),
             }
         )
 
     # ONE read+map of the delta, object-store resident; every later
-    # consumer (pair phases, id collect, survivor filter, counts) reuses
+    # consumer (dedup, id set, survivor filter, vectors, index) reuses
     # the materialized blocks instead of re-scanning the parquet.
     delta_all = (
         rd.read_parquet(transcripts, columns=["conv_id", "turn_idx", "text"])
-        .map_batches(with_ids, batch_format="pyarrow")
+        .map_batches(derive, batch_format="pyarrow")
         .materialize()
     )
 
@@ -356,79 +404,49 @@ def _ingest_delta_locked(
     if n_delta == 0:  # an empty read yields blocks with no columns
         return _carry_generation(store_dir, state, dfp, 0, t0)
 
-    def delta_docs():
-        return delta_all
-
     # ---- incremental dedup ------------------------------------------
+    # the first delta has no index yet: its pairs are new–new only
     old = _gen_dir(store_dir, gen)
-    have_index = gen >= 0 and list_parquet_files(os.path.join(old, "bands"))
-    if have_index:
+    index = None
+    if gen >= 0:
         index = {
             "bands": os.path.join(old, "bands"),
             "shingles": os.path.join(old, "shingles"),
         }
-        pairs = incremental_minhash_pairs(delta_docs, index)
-    else:  # bootstrap delta: within-delta pairs only
-        pairs = minhash_pairs_join(delta_docs)
+    pairs = incremental_minhash_pairs(lambda: delta_all, index).to_pandas()
 
     # Drop rule (keep-first): a new doc paired with a PERSISTED doc is
     # dropped; of a new–new pair the larger doc_id is dropped. The drop
     # list is O(dup-rate × delta) and is applied with a broadcast-side
     # membership filter (the delta is the bounded side by construction).
-    new_id_list = (
-        delta_all.map_batches(lambda df: df[["doc_id"]], batch_format="pandas")
-        .to_pandas()["doc_id"]
-        .tolist()
-    )
-    new_ids_ref = ray.put(set(new_id_list))
-
-    def drop_list(df: pd.DataFrame) -> pd.DataFrame:
-        from ..state.broadcast import resolve
-
-        new_ids = resolve(new_ids_ref)
-        drops = []
-        for a, b in zip(df["doc_id_a"].to_numpy(), df["doc_id_b"].to_numpy()):
-            an, bn = int(a) in new_ids, int(b) in new_ids
-            if an and bn:
-                drops.append(max(a, b))
-            elif an:
-                drops.append(a)
-            elif bn:
-                drops.append(b)
-        return pd.DataFrame({"doc_id": np.asarray(sorted(drops), dtype=np.int64)})
-
-    drop_df = pairs.map_batches(drop_list, batch_format="pandas").to_pandas()
-    # a delta with no candidate pairs yields a frame with no columns
-    drops = set(drop_df["doc_id"].tolist()) if len(drop_df) else set()
+    new_ids = np.unique(_column(delta_all, "doc_id"))
+    drops: set = set()
+    if len(pairs):  # a delta with no candidate pairs yields no columns
+        a = pairs["doc_id_a"].to_numpy(dtype=np.int64)
+        b = pairs["doc_id_b"].to_numpy(dtype=np.int64)
+        an, bn = np.isin(a, new_ids), np.isin(b, new_ids)
+        drop = np.where(an & bn, np.maximum(a, b), np.where(an, a, b))
+        drops = set(drop[an | bn].tolist())
 
     # Re-ingest guard: a delta turn whose (conv_id, turn_idx) already
     # lives in the registry is DROPPED — the store is append-only per
     # turn id, so re-submitting an overlapping slice (or the same turn
     # with edited text that is not a near-dup) cannot double-register a
     # doc_id or leave a stale vector beside a new one. Shape: NO
-    # corpus shuffle — the (small) delta id set broadcasts once and a
-    # streamed map over the registry's doc_id COLUMN emits only the
-    # matches (output bounded by the delta). Honest cost note: this
-    # scans 8 bytes/registered turn per delta (~1-2% of corpus payload
-    # bytes); a hive-bucketed id index drops into this slot when even
-    # the id column matters.
+    # corpus shuffle — the (small) delta id set is pushed down as a
+    # parquet row filter on the registry's doc_id COLUMN, so only the
+    # matches come back (output bounded by the delta). Honest cost
+    # note: this scans 8 bytes/registered turn per delta (~1-2% of
+    # corpus payload bytes); a hive-bucketed id index drops into this
+    # slot when even the id column matters.
     if gen >= 0:
         reg_files = list_parquet_files(os.path.join(old, "turns"))
         if reg_files:
-            def members(df: pd.DataFrame) -> pd.DataFrame:
-                from ..state.broadcast import resolve
-
-                ids = resolve(new_ids_ref)
-                hit = df["doc_id"][df["doc_id"].isin(ids)]
-                return pd.DataFrame(
-                    {"doc_id": hit.to_numpy(dtype=np.int64)}
-                )
-
-            dup_df = (
-                rd.read_parquet(reg_files, columns=["doc_id"])
-                .map_batches(members, batch_format="pandas")
-                .to_pandas()
-            )
+            dup_df = read_files(
+                reg_files,
+                columns=["doc_id"],
+                filter=pads.field("doc_id").isin(new_ids.tolist()),
+            ).to_pandas()
             if len(dup_df):  # empty result frames carry no columns
                 drops |= set(dup_df["doc_id"].tolist())
 
@@ -455,7 +473,8 @@ def _ingest_delta_locked(
             delta_all.map_batches(keep_survivors, batch_format="pandas"),
             ["doc_id"],
             dedupe_turn_ids,
-            8,
+            # one block per partition feeds every later step: size them
+            partitions_for(transcripts, floor=1),
         )
         .materialize()  # consumed by: registry, annotate, vectors, index
     )
@@ -469,11 +488,14 @@ def _ingest_delta_locked(
     os.makedirs(turns_dir, exist_ok=True)
     if gen >= 0:
         _hardlink_tree(os.path.join(old, "turns"), turns_dir)
-    survivors.map_batches(
-        lambda t: t.replace_schema_metadata(None), batch_format="pyarrow"
+    survivors.select_columns(TURNS_SCHEMA.names).map_batches(
+        lambda t: t.cast(TURNS_SCHEMA), batch_format="pyarrow"
     ).write_parquet(os.path.join(turns_dir, f"delta_{new_gen:05d}"))
 
     # ---- annotate -> edges delta ------------------------------------
+    # The delta's per-batch edge partials (canonical triple counts) are
+    # merged with the old rows of the buckets they touch in ONE
+    # edge_bucket-keyed exchange whose combine writes each bucket.
     alias_rows = pq.read_table(alias_path).to_pylist()
     alias_ref = ray.put(AliasDict(alias_rows))
     comp_ref = ray.put(canonical_components(alias_rows))
@@ -481,123 +503,71 @@ def _ingest_delta_locked(
         survivors.select_columns(["conv_id", "turn_idx", "text"]),
         alias_ref,
     )
-    delta_edges = (
-        edges_stage(lambda: triples_stage(ann), comp_ref)
-        .map_batches(_with_edge_bucket, batch_format="pandas")
-        .materialize()
-    )
-    touched_df = delta_edges.map_batches(
-        lambda df: pd.DataFrame({"edge_bucket": df["edge_bucket"].unique()}),
-        batch_format="pandas",
-    ).to_pandas()
-    # survivors with no triples yield a frame with no columns
-    touched_e = (
-        set(touched_df["edge_bucket"].unique().tolist()) if len(touched_df) else set()
-    )
+    partials = edges_plan(lambda: triples_stage(ann), comp_ref)[0]
+    delta_edges = partials.map_batches(
+        _with_edge_bucket, batch_format="pandas"
+    ).materialize()
+    # survivors with no triples yield no rows
+    touched_e = set(_column(delta_edges, "edge_bucket").tolist())
 
     edges_dir = os.path.join(nd, "edges")
     os.makedirs(edges_dir, exist_ok=True)
-    cols = ["subj_cui", "pred", "obj_cui", "weight"]
-    old_buckets: dict[int, list] = {}
-    if gen >= 0:
-        for f in list_parquet_files(os.path.join(old, "edges")):
-            b = int(os.path.basename(os.path.dirname(f)).split("=")[1])
-            old_buckets.setdefault(b, []).append(f)
-    # carry untouched buckets by hardlink
-    for b, fs in old_buckets.items():
-        if b in touched_e:
-            continue
-        out = os.path.join(edges_dir, f"edge_bucket={b}")
-        os.makedirs(out, exist_ok=True)
-        for f in fs:
-            _link_or_copy(f, os.path.join(out, os.path.basename(f)))
-    # merge touched buckets (delta + old rows), one edge-keyed combine
-    touched_files = [f for b in touched_e for f in old_buckets.get(b, [])]
-    merged = delta_edges.map_batches(
-        lambda df: df[cols + ["edge_bucket"]], batch_format="pandas"
+    old_edges = _carry_buckets(
+        os.path.join(old, "edges"), edges_dir, "edge_bucket", touched_e
     )
+    merged = delta_edges
+    touched_files = [f for fs in old_edges.values() for f in fs]
     if touched_files:
         merged = merged.union(
-            rd.read_parquet(touched_files, columns=cols).map_batches(
-                lambda df: _with_edge_bucket(df), batch_format="pandas"
+            read_files(touched_files, columns=EDGES_SCHEMA.names).map_batches(
+                lambda df: _with_edge_bucket(df.rename(columns={"weight": "n"})),
+                batch_format="pandas",
             )
         )
 
     def combine_edges(df: pd.DataFrame) -> pd.DataFrame:
         out = (
-            df.groupby(["edge_bucket", "subj_cui", "pred", "obj_cui"], sort=False)[
-                "weight"
-            ]
+            df.groupby(["edge_bucket"] + EDGE_KEYS, sort=False)["n"]
             .sum()
-            .reset_index()
+            .reset_index(name="weight")
         )
         out["weight"] = out["weight"].astype("int64")
         return out
 
-    (
-        keyed_exchange(merged, ["edge_bucket"], combine_edges, n_edge_buckets)
-        .map_batches(
-            lambda t: t.replace_schema_metadata(None), batch_format="pyarrow"
+    if touched_e:
+        hive_partitioned_write(
+            merged, "edge_bucket", combine_edges, edges_dir, fname,
+            EDGE_KEYS, n_edge_buckets,
         )
-        .write_parquet(edges_dir, partition_cols=["edge_bucket"])
-    )
 
     # ---- vector-store upsert ----------------------------------------
-    def vec_rows(df: pd.DataFrame) -> pd.DataFrame:
-        vids, vparts = [], []
-        for did, text in zip(df["doc_id"], df["text"]):
-            vids.append(did)
-            vparts.append(_vpart(_turn_vector(text)))
-        return pd.DataFrame(
-            {
-                "vec_id": np.asarray(vids, dtype=np.int64),
-                "vpart": np.asarray(vparts, dtype=np.int64),
-            }
-        )
-
-    dvec = survivors.map_batches(vec_rows, batch_format="pandas").materialize()
-    touched_v = set(
-        dvec.map_batches(
-            lambda df: pd.DataFrame({"vpart": df["vpart"].unique()}),
-            batch_format="pandas",
-        )
-        .to_pandas()["vpart"]
-        .unique()
-        .tolist()
-    )
+    # (doc_id, vpart) came with the delta's derive pass
+    touched_v = set(_column(survivors, "vpart").tolist())
     vec_dir = os.path.join(nd, "vectors")
     os.makedirs(vec_dir, exist_ok=True)
-    old_vparts: dict[int, list] = {}
-    if gen >= 0:
-        for f in list_parquet_files(os.path.join(old, "vectors")):
-            b = int(os.path.basename(os.path.dirname(f)).split("=")[1])
-            old_vparts.setdefault(b, []).append(f)
-    for b, fs in old_vparts.items():
-        if b in touched_v:
-            continue
-        out = os.path.join(vec_dir, f"vpart={b}")
-        os.makedirs(out, exist_ok=True)
-        for f in fs:
-            _link_or_copy(f, os.path.join(out, os.path.basename(f)))
-    vmerged = dvec
-    vtouched_files = [f for b in touched_v for f in old_vparts.get(b, [])]
+    old_vparts = _carry_buckets(
+        os.path.join(old, "vectors"), vec_dir, "vpart", touched_v
+    )
+    vmerged = survivors.map_batches(
+        lambda df: df[["doc_id", "vpart"]].rename(columns={"doc_id": "vec_id"}),
+        batch_format="pandas",
+    )
+    vtouched_files = [f for fs in old_vparts.values() for f in fs]
     if vtouched_files:
         # hive reads surface the partition field as a string — cast back
         vmerged = vmerged.union(
-            rd.read_parquet(vtouched_files, columns=["vec_id", "vpart"]).map_batches(
+            read_files(vtouched_files, columns=["vec_id", "vpart"]).map_batches(
                 lambda df: df.assign(vpart=df["vpart"].astype("int64")),
                 batch_format="pandas",
             )
         )
-    (
-        keyed_exchange(vmerged, ["vpart"], lambda df: df, VEC_PARTS)
-        .map_batches(
-            lambda t: t.replace_schema_metadata(None), batch_format="pyarrow"
-        )
-        .write_parquet(vec_dir, partition_cols=["vpart"])
+    hive_partitioned_write(
+        vmerged, "vpart", lambda df: df, vec_dir, fname, ["vec_id"], VEC_PARTS
     )
 
     # ---- LSH index append -------------------------------------------
+    # the survivors' blobs from the derive pass, and their band rows
+    # appended as one new file per touched band bucket
     bands_dir = os.path.join(nd, "bands")
     sh_dir = os.path.join(nd, "shingles")
     os.makedirs(bands_dir, exist_ok=True)
@@ -606,22 +576,16 @@ def _ingest_delta_locked(
         _hardlink_tree(os.path.join(old, "bands"), bands_dir)
         _hardlink_tree(os.path.join(old, "shingles"), sh_dir)
     surv_sh = survivors.map_batches(
-        _shingle_table, batch_format="pyarrow"
-    ).materialize()
-    surv_sh.map_batches(
-        lambda t: t.replace_schema_metadata(None), batch_format="pyarrow"
-    ).write_parquet(os.path.join(sh_dir, f"delta_{new_gen:05d}"))
-    (
-        surv_sh.map_batches(_band_rows_from_shingles, batch_format="pyarrow")
-        .map_batches(_with_band_bucket, batch_format="pandas")
-        .map_batches(
-            lambda t: t.replace_schema_metadata(None), batch_format="pyarrow"
-        )
-        .write_parquet(bands_dir, partition_cols=["band_bucket"])
+        lambda t: t.select(["doc_id", "shingles"]).replace_schema_metadata(None),
+        batch_format="pyarrow",
+    )
+    surv_sh.write_parquet(os.path.join(sh_dir, f"delta_{new_gen:05d}"))
+    hive_partitioned_write(
+        surv_sh.map_batches(_band_rows_from_shingles, batch_format="pyarrow"),
+        "band_bucket", lambda df: df, bands_dir, fname,
+        ["band_key", "doc_id"], INDEX_BAND_BUCKETS,
     )
     with open(os.path.join(nd, "_LAYOUT_VERSION"), "w") as f:
-        from ..stages.dedup import INDEX_LAYOUT_VERSION
-
         f.write(INDEX_LAYOUT_VERSION)
 
     # ---- atomic generation flip -------------------------------------

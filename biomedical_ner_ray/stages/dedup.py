@@ -183,9 +183,10 @@ def _minhash_band_rows_lite(batch: pa.Table) -> pd.DataFrame:
 
 
 def _band_rows_from_shingles(batch: pa.Table) -> pd.DataFrame:
-    """Band rows recomputed from a persisted shingle blob table — lets
-    an ingest pipeline scan the raw text ONCE (shingle handoff), then
-    derive signatures from the blobs instead of re-tokenizing."""
+    """(doc_id, band_key, band_bucket) band rows recomputed from a
+    shingle blob table — lets an ingest pipeline scan the raw text ONCE
+    (its derive pass emits the blobs), then derive signatures from the
+    blobs instead of re-tokenizing."""
     doc_ids, keys = [], []
     for doc_id, blob in zip(
         batch["doc_id"].to_pylist(), batch["shingles"].to_pylist()
@@ -194,7 +195,7 @@ def _band_rows_from_shingles(batch: pa.Table) -> pd.DataFrame:
         for band in range(NUM_BANDS):
             doc_ids.append(doc_id)
             keys.append(band_key(sig, band))
-    return pd.DataFrame({"doc_id": doc_ids, "band_key": keys})
+    return _with_band_bucket(pd.DataFrame({"doc_id": doc_ids, "band_key": keys}))
 
 
 def _shingle_table(batch: pa.Table) -> pa.Table:
@@ -601,7 +602,7 @@ def _broadcast_verify(cand_tbl, docs_ds_factory, num_partitions: int,
         r_ids, r_pids, _a, _b, _pid = resolve(route_ref)
         ids = batch["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
         mask = np.isin(ids, r_ids)
-        sh = _shingle_table(batch.filter(pa.array(mask)))
+        sh = _blob_table(batch.filter(pa.array(mask)))
         out_pid, out_doc, out_blob = [], [], []
         for doc_id, blob in zip(sh["doc_id"].to_pylist(), sh["shingles"].to_pylist()):
             lo = np.searchsorted(r_ids, doc_id, side="left")
@@ -1029,171 +1030,150 @@ def _flagged_bucket_pairs(df: pd.DataFrame) -> pd.DataFrame:
     """Candidate pairs within each band bucket where at least one side
     is from the ingest batch (old–old pairs were settled when the index
     was built). Flags ride along so phase 2 knows which side's shingles
-    live in the index store vs the ingest batch."""
-    out = []
-    for _, g in df.groupby("band_key", sort=False):
-        if len(g) < 2:
-            continue
-        g = g.drop_duplicates(subset=["doc_id"]).sort_values("doc_id")
-        ids = g["doc_id"].to_numpy()
-        new = g["is_new"].to_numpy()
-        for i in range(len(ids)):
-            for j in range(i + 1, len(ids)):
-                if new[i] or new[j]:
-                    out.append((ids[i], ids[j], new[i], new[j]))
+    live in the index store vs the ingest batch.
+
+    One vectorized self-merge on ``band_key``: a doc's first row per key
+    keeps its flag, keys with fewer than two docs go, and each pair is
+    kept once (``doc_id_a < doc_id_b``) when a side is new."""
+    d = df[["band_key", "doc_id", "is_new"]].drop_duplicates(
+        ["band_key", "doc_id"], keep="first"
+    )
+    d = d[d.groupby("band_key")["doc_id"].transform("size") >= 2]
+    m = d.merge(d, on="band_key", suffixes=("_a", "_b"))
+    m = m[
+        (m["doc_id_a"] < m["doc_id_b"])
+        & ((m["is_new_a"] != 0) | (m["is_new_b"] != 0))
+    ]
     return pd.DataFrame(
-        out, columns=["doc_id_a", "doc_id_b", "new_a", "new_b"]
+        {
+            "doc_id_a": m["doc_id_a"].to_numpy(),
+            "doc_id_b": m["doc_id_b"].to_numpy(),
+            "new_a": m["is_new_a"].to_numpy(),
+            "new_b": m["is_new_b"].to_numpy(),
+        }
     ).astype("int64")
 
 
+def _blob_table(batch: pa.Table) -> pa.Table:
+    """(doc_id, shingles blob) of a docs batch: the batch's own
+    ``shingles`` column when it carries one, else ``_shingle_table``."""
+    if "shingles" in batch.column_names:
+        return batch.select(["doc_id", "shingles"])
+    return _shingle_table(batch)
+
+
 def incremental_minhash_pairs(
-    new_docs_factory, index: dict, num_partitions: int = 8
+    new_docs_factory, index: dict | None, num_partitions: int = 8
 ):
     """Dedup an ingest batch against a persisted corpus index built by
     ``build_minhash_index`` — without re-shuffling the corpus.
 
     Emits the same (doc_id_a, doc_id_b, n_common, n_union) rows as the
     batch paths, restricted to pairs with ≥1 ingest-side doc (new–new
-    and new–old; old–old already handled at index build time).
+    and new–old; old–old already handled at index build time). With
+    ``index=None`` (a store's first batch) the pairs are new–new only,
+    the rows ``minhash_pairs_join`` gives for the batch.
+
+    Docs are (doc_id, text) rows; a ``shingles`` column (the packed
+    blob of ``_shingle_table``) is used as is instead of re-shingling.
 
     Shape per ingest batch (N = batch docs, C = LSH candidates):
-    - phase 1 streams the batch once, writing its band rows + shingle
-      blobs as a handoff artifact (the resumable ingest checkpoint);
-      the driver learns only the ≤``INDEX_BAND_BUCKETS`` touched bucket
-      ids (a bounded aggregate, not O(N));
+    - the batch's blobs and band rows are materialized in the object
+      store once; the driver learns only the ≤``INDEX_BAND_BUCKETS``
+      touched bucket ids (a bounded aggregate, not O(N));
     - index band rows are read ONLY from touched hive buckets, flagged,
       unioned with the batch's band rows, and exchanged on band_key —
       shuffle volume is O(N·bands + touched index band rows), never the
-      corpus text;
-    - phase 2 fetches shingles for the C candidates: old sides via a
-      pushed-down ``doc_id IN (...)`` parquet filter on the index store
-      (the driver holds C int64 ids, never payloads), new sides from
-      the batch handoff; verification reuses the hash-join + exact-
-      Jaccard path of ``minhash_pairs_join``."""
+      corpus text; the C candidate pairs come back to the driver and
+      are deduped there (ints only, no payloads);
+    - phase 2 fetches shingles for the candidates: old sides via a
+      pushed-down ``doc_id IN (...)`` parquet filter on the index store,
+      new sides from the materialized batch blobs; the broadcast verify
+      of ``minhash_pairs_join`` routes each blob to the partitions of
+      its pairs and checks exact Jaccard in one exchange."""
     import os
-    import tempfile
 
     import pyarrow.dataset as pads
-    import pyarrow.parquet as pq
     import ray.data as rd
 
-    from ..state.manifest import sweep_stale_handoffs
-    from .exchange import keyed_exchange
+    from .exchange import keyed_exchange, read_files
 
-    check_index_layout(index)
-    base = os.path.join(tempfile.gettempdir(), "graft_minhash_incr")
-    work = sweep_stale_handoffs(base)  # TTL sweep — never the live siblings
-    nb_dir = os.path.join(work, "new_bands")
-    ns_dir = os.path.join(work, "new_shingles")
-    cands_dir = os.path.join(work, "cands")
-    for d in (nb_dir, ns_dir, cands_dir):
-        os.makedirs(d, exist_ok=True)
+    if index is not None:
+        check_index_layout(index)
 
-    # phase 1a: the raw ingest text is scanned ONCE, into the shingle
-    # handoff (coalesced to a few files — it's re-read twice below);
-    # band rows are then derived from the blobs, not a second text scan.
-    (
-        new_docs_factory()
-        .map_batches(_shingle_table, batch_format="pyarrow")
-        .repartition(4)
-        .write_parquet(ns_dir)
-    )
-    (
-        rd.read_parquet(ns_dir)
-        .map_batches(_band_rows_from_shingles, batch_format="pyarrow")
-        .map_batches(_with_band_bucket, batch_format="pandas")
-        .map_batches(lambda t: t.replace_schema_metadata(None), batch_format="pyarrow")
-        .write_parquet(nb_dir)
-    )
-
-    def _empty_pairs():
-        return rd.from_arrow(
-            pa.table(
-                {
-                    "doc_id_a": pa.array([], pa.int64()),
-                    "doc_id_b": pa.array([], pa.int64()),
-                    "n_common": pa.array([], pa.int64()),
-                    "n_union": pa.array([], pa.int64()),
-                }
-            )
-        )
-
-    def _has_files(d):
-        return any(f.endswith(".parquet") for f in os.listdir(d))
-
-    if not _has_files(nb_dir):  # empty ingest batch
-        return _empty_pairs()
+    new_sh = new_docs_factory().map_batches(_blob_table, batch_format="pyarrow")
+    new_sh = new_sh.materialize()
+    new_bands = new_sh.map_batches(
+        _band_rows_from_shingles, batch_format="pyarrow"
+    ).materialize()
+    if new_bands.count() == 0:  # empty ingest batch
+        return rd.from_pandas(_PAIR_EMPTY.copy())
 
     # touched buckets: bounded by INDEX_BAND_BUCKETS regardless of batch
-    # size — a column scan of the handoff, never the batch text.
-    touched = sorted(
-        pq.read_table(nb_dir, columns=["band_bucket"])
-        .column("band_bucket")
-        .unique()
-        .to_pylist()
-    )
-    # read_parquet takes a LIST of files (dirs only as a single path) —
-    # enumerate the touched buckets' files explicitly.
+    # size. read_parquet takes a LIST of files (dirs only as a single
+    # path) — enumerate the touched buckets' files explicitly.
     idx_paths = []
-    for b in touched:
-        d = os.path.join(index["bands"], f"band_bucket={b}")
-        if os.path.isdir(d):
-            idx_paths.extend(
-                os.path.join(d, f) for f in sorted(os.listdir(d))
-                if f.endswith(".parquet")
+    if index is not None:
+        for b in sorted(set(_column(new_bands, "band_bucket").tolist())):
+            d = os.path.join(index["bands"], f"band_bucket={b}")
+            if os.path.isdir(d):
+                idx_paths.extend(
+                    os.path.join(d, f) for f in sorted(os.listdir(d))
+                    if f.endswith(".parquet")
+                )
+
+    # phase 1: flagged band-key exchange over (pruned index ∪ batch)
+    # -> candidate pairs with >=1 new side, deduped in the driver
+    def flag(is_new: int):
+        def add(t: pa.Table) -> pa.Table:
+            return t.select(["doc_id", "band_key"]).append_column(
+                "is_new", pa.array(np.full(t.num_rows, is_new, np.int64))
             )
 
-    # phase 1b: flagged band-key exchange over (pruned index ∪ batch)
-    # -> candidate pairs with >=1 new side -> pair dedup -> handoff.
-    new_bands = rd.read_parquet(nb_dir, columns=["doc_id", "band_key"]).add_column(
-        "is_new", lambda t: pa.array([1] * t.num_rows, pa.int64()), batch_format="pyarrow"
-    )
+        return add
+
+    bands = new_bands.map_batches(flag(1), batch_format="pyarrow")
     if idx_paths:
-        idx_bands = rd.read_parquet(
+        bands = read_files(
             idx_paths, columns=["doc_id", "band_key"]
-        ).add_column(
-            "is_new", lambda t: pa.array([0] * t.num_rows, pa.int64()), batch_format="pyarrow"
-        )
-        bands = idx_bands.union(new_bands)
-    else:
-        bands = new_bands
+        ).map_batches(flag(0), batch_format="pyarrow").union(bands)
     cands = keyed_exchange(
-        keyed_exchange(bands, ["band_key"], _flagged_bucket_pairs, num_partitions),
-        ["doc_id_a", "doc_id_b"],
-        _dedup_pairs,
-        2,
-    )
-    cands.map_batches(
-        lambda t: t.replace_schema_metadata(None), batch_format="pyarrow"
-    ).write_parquet(cands_dir)
+        bands, ["band_key"], _flagged_bucket_pairs, num_partitions
+    ).to_pandas()
+    if not len(cands):  # no LSH candidates at all
+        return rd.from_pandas(_PAIR_EMPTY.copy())
+    cands = cands.drop_duplicates(["doc_id_a", "doc_id_b"], ignore_index=True)
 
-    # candidate old-side ids: bounded by the candidate count (ints only,
-    # no payloads) — drives the pushed-down index-store read below.
-    import pyarrow.compute as pc
-
-    if not _has_files(cands_dir):  # no LSH candidates at all
-        return _empty_pairs()
-    ct = pq.read_table(cands_dir, columns=["doc_id_a", "doc_id_b", "new_a", "new_b"])
-    if ct.num_rows == 0:
-        return _empty_pairs()
-    old_a = ct.filter(pc.equal(ct.column("new_a"), 0)).column("doc_id_a")
-    old_b = ct.filter(pc.equal(ct.column("new_b"), 0)).column("doc_id_b")
-    old_ids = sorted(set(old_a.to_pylist()) | set(old_b.to_pylist()))
-
-    # phase 2: shingle fetch via the shared exchange-based verify.
-    # NO hash_shuffle scope here — _join_verify is keyed_exchange
-    # (groupby) based now, and a groupby built under a HASH-rooted
-    # dataset deadlocks (the documented exchange.py constraint).
-    cands_ds = rd.read_parquet(
-        cands_dir, columns=["doc_id_a", "doc_id_b"]
-    )
-    sh_new = rd.read_parquet(ns_dir)
-    if old_ids:
-        sh_old = rd.read_parquet(
-            index["shingles"],
-            filter=pads.field("doc_id").isin(old_ids),
+    # phase 2: old-side blobs by pushed-down id filter, new-side blobs
+    # from the materialized batch
+    old_ids = np.unique(
+        np.concatenate(
+            [
+                cands.loc[cands["new_a"] == 0, "doc_id_a"].to_numpy(),
+                cands.loc[cands["new_b"] == 0, "doc_id_b"].to_numpy(),
+            ]
         )
-        sh = sh_old.union(sh_new)
-    else:
-        sh = sh_new
-    return _join_verify(cands_ds, sh, num_partitions)
+    )
+    sh = new_sh
+    if len(old_ids):
+        sh = read_files(
+            _list_parquet(index["shingles"]),
+            filter=pads.field("doc_id").isin(old_ids.tolist()),
+        ).union(new_sh)
+    cand_tbl = pa.Table.from_pandas(
+        cands[["doc_id_a", "doc_id_b"]], preserve_index=False
+    )
+    return _broadcast_verify(cand_tbl, lambda: sh, num_partitions)
+
+
+def _column(ds, name: str) -> np.ndarray:
+    """One column of a MATERIALIZED Dataset, read from its blocks in
+    the object store (no plan runs)."""
+    import ray
+    from ray.data.block import BlockAccessor
+
+    refs = [r for b in ds.iter_internal_ref_bundles() for r in b.block_refs]
+    blocks = [BlockAccessor.for_block(b) for b in ray.get(refs)]
+    # an empty block may carry no columns at all
+    cols = [b.to_arrow().column(name).to_numpy() for b in blocks if b.num_rows()]
+    return np.concatenate(cols) if cols else np.empty(0, np.int64)

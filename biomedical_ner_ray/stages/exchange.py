@@ -32,8 +32,10 @@ materialized once:
 
 The threshold is the one constant, ``BYTES_PER_PARTITION``; both paths
 give the same partitions, so the choice is physical, never semantic.
-``sharded_sorted_write`` runs the same exchange and writes each
-combined partition as its own sorted shard file.
+``sharded_sorted_write`` and ``hive_partitioned_write`` run the same
+exchange and write each combined partition from the combine: as one
+sorted shard file, or as one file per value of a hive partition column
+(``_partition_writer`` is the one emit step of both).
 
 ``num_partitions`` sizes the exchange: one partition's rows (~#keys/P
 of the PRE-AGGREGATED stream) must fit a worker's pandas heap. Call
@@ -107,6 +109,19 @@ def partitions_for(*paths, expansion: float = 4.0, floor: int = DEFAULT_PARTITIO
     return max(floor, min(cap, need))
 
 
+def read_files(files, **kwargs):
+    """``ray.data.read_parquet`` over a list of files, with one read
+    task per ``partitions_for`` partition of their bytes (floor 1)
+    instead of Ray's one per file: a store's touched-bucket reads are
+    many small files, and at one file per task the scheduling costs
+    more than the reads."""
+    import ray.data as rd
+
+    return rd.read_parquet(
+        files, override_num_blocks=partitions_for(*files, floor=1), **kwargs
+    )
+
+
 # ---------------------------------------------------------------------------
 # exchange metering (opt-in): measured shuffle volumes, not estimates
 # ---------------------------------------------------------------------------
@@ -174,7 +189,7 @@ def _meter_add(meter, label: str, field: str, df) -> None:
 
 
 def _exchange(ds, keys, fn, num_partitions, label, emit):
-    """Shared core of ``keyed_exchange`` and ``sharded_sorted_write``.
+    """Shared core of ``keyed_exchange`` and the partition writers.
 
     Tags every row with ``_pid = hash(keys) % num_partitions``,
     materializes that stream once and, per non-empty ``_pid`` group,
@@ -269,6 +284,63 @@ def grouped_aggregate(ds, keys, partial_fn, combine_fn, num_partitions: int | No
     return keyed_exchange(partials, keys, combine_fn, num_partitions)
 
 
+def _write_file(table, path: str) -> None:
+    """The one file write of ``_partition_writer``."""
+    import pyarrow.parquet as pq
+
+    pq.write_table(table, path)
+
+
+def _partition_writer(out_dir: str, name: str, sort_keys, partition_col=None):
+    """The emit step that writes each combined exchange partition.
+
+    The partition's frame is mergesorted on ``sort_keys`` and written as
+    ``<out_dir>/<name>-<_pid:05d>.parquet``; with ``partition_col``, the
+    rows of each of its values ``v`` go to
+    ``<out_dir>/<partition_col>=<v>/<name>-<_pid:05d>.parquet`` without
+    that column (the hive layout ``read_parquet`` parses back). The file
+    name carries the exchange partition id, never a re-hash of the
+    frame, so a rerun rewrites the same files. Returns a
+    (shard[, partition_col], rows) summary frame per partition."""
+    import os
+
+    import numpy as np
+    import pandas as pd
+    import pyarrow as pa
+
+    sort_keys = list(sort_keys)
+
+    def emit(pid: int, out: "pd.DataFrame") -> "pd.DataFrame":
+        fname = f"{name}-{pid:05d}.parquet"
+        if partition_col is None:
+            out = out.sort_values(sort_keys, kind="mergesort").reset_index(drop=True)
+            _write_file(
+                pa.Table.from_pandas(out, preserve_index=False),
+                os.path.join(out_dir, fname),
+            )
+            return pd.DataFrame({"shard": [pid], "rows": [len(out)]})
+        # one Arrow conversion per partition; each value's rows are a
+        # contiguous slice of the (value, sort_keys)-sorted frame. No
+        # pandas metadata: Ray Data cannot hash a schema that carries it
+        # and logs a warning for every read that unions such files.
+        out = out.sort_values([partition_col] + sort_keys, kind="mergesort")
+        vals = out[partition_col].to_numpy()
+        table = pa.Table.from_pandas(
+            out.drop(columns=[partition_col]), preserve_index=False
+        ).replace_schema_metadata(None)
+        starts = np.flatnonzero(np.r_[True, vals[1:] != vals[:-1]])
+        ends = np.r_[starts[1:], len(vals)]
+        for s, e in zip(starts, ends):
+            d = os.path.join(out_dir, f"{partition_col}={vals[s]}")
+            os.makedirs(d, exist_ok=True)
+            _write_file(table.slice(s, e - s), os.path.join(d, fname))
+        return pd.DataFrame(
+            {"shard": pid, partition_col: vals[starts], "rows": ends - starts}
+        )
+
+    return emit
+
+
 def sharded_sorted_write(ds, keys, fn, out_dir, num_partitions: int | None = None):
     """``keyed_exchange(ds, keys, fn, num_partitions)`` written as a
     deterministic key-hash-sharded parquet artifact, in ONE exchange.
@@ -281,23 +353,22 @@ def sharded_sorted_write(ds, keys, fn, out_dir, num_partitions: int | None = Non
     single-file bottleneck: shards build in parallel, and a resumable
     run can diff/skip per shard. Returns a (shard, rows) summary
     DataFrame."""
-    import os
+    emit = _partition_writer(out_dir, "part", keys)
+    return _exchange(ds, keys, fn, num_partitions, None, emit).to_pandas()
 
-    import pandas as pd
-    import pyarrow as pa
-    import pyarrow.parquet as pq
 
-    keys = list(keys)
-
-    def write_shard(pid: int, out: "pd.DataFrame") -> "pd.DataFrame":
-        out = out.sort_values(keys, kind="mergesort").reset_index(drop=True)
-        pq.write_table(
-            pa.Table.from_pandas(out, preserve_index=False),
-            os.path.join(out_dir, f"part-{pid:05d}.parquet"),
-        )
-        return pd.DataFrame({"shard": [pid], "rows": [len(out)]})
-
-    return _exchange(ds, keys, fn, num_partitions, None, write_shard).to_pandas()
+def hive_partitioned_write(ds, col: str, fn, out_dir: str, name: str,
+                           sort_keys, num_partitions: int | None = None):
+    """``keyed_exchange(ds, [col], fn, num_partitions)`` written as a
+    hive-partitioned parquet table, in ONE exchange: the rows of each
+    value ``v`` of ``col`` go to ``<out_dir>/<col>=<v>/<name>-<_pid:05d>
+    .parquet``, mergesorted on ``sort_keys``. A value lives in exactly
+    one exchange partition, so one call writes at most one file per
+    value; callers that add files to a directory that already holds
+    some (an append-only table) put a fresh ``name`` on each call.
+    Returns a (shard, ``col``, rows) summary DataFrame."""
+    emit = _partition_writer(out_dir, name, sort_keys, partition_col=col)
+    return _exchange(ds, [col], fn, num_partitions, None, emit).to_pandas()
 
 
 # The DataContext flip is process-global; dataset CONSTRUCTION windows

@@ -167,7 +167,8 @@ def _pagerank_exchange_tier(edges, iterations: int, P: int):
     co-located partition as one parquet file keyed by its partition id
     (``pid = hash(src) % P`` — the keyed_exchange hash itself), a
     worker-side handoff the iterations re-read instead of re-shuffling
-    the edge set.
+    the edge set. Its (pid, rows) summary lists the files: a listed
+    pid whose file is missing when an iteration reads it raises.
 
     Per iteration: the O(N) rank table rides ONE node-keyed exchange
     with the SAME hash/partition count, so each rank partition lands
@@ -204,12 +205,24 @@ def _pagerank_exchange_tier(edges, iterations: int, P: int):
         e.to_parquet(os.path.join(work, f"pid={pid}.parquet"), index=False)
         return pd.DataFrame({"pid": [pid], "rows": [len(e)]})
 
-    keyed_exchange(edges, ["src"], pin_write, P).materialize()
-    pin_files = sorted(
-        os.path.join(work, f)
-        for f in os.listdir(work)
-        if f.endswith(".parquet")
+    # the pin pass's (pid, rows) summary is the handoff's manifest: a
+    # listed pid whose file is gone (another node's disk, a sweep) is an
+    # error, never "no edges"
+    pinned = keyed_exchange(edges, ["src"], pin_write, P).to_pandas()
+    pin_rows = (
+        dict(zip(pinned["pid"].tolist(), pinned["rows"].tolist()))
+        if len(pinned)
+        else {}
     )
+
+    def pin_edges(pid: int) -> pd.DataFrame:
+        path = os.path.join(work, f"pid={pid}.parquet")
+        if not os.path.exists(path):
+            raise FileNotFoundError(
+                f"pagerank pin file of partition {pid} is missing: {path} "
+                f"(the pin pass wrote {pin_rows[pid]} edge rows there)"
+            )
+        return pd.read_parquet(path)
 
     def damp(df: pd.DataFrame) -> pd.DataFrame:
         s = df.groupby("node", as_index=False)["contrib"].sum()
@@ -222,10 +235,10 @@ def _pagerank_exchange_tier(edges, iterations: int, P: int):
             }
         )
 
-    def first_contribs(path_df: pd.DataFrame) -> pd.DataFrame:
+    def first_contribs(pid_df: pd.DataFrame) -> pd.DataFrame:
         outs = []
-        for p in path_df["path"]:
-            e = pd.read_parquet(p)
+        for pid in pid_df["pid"]:
+            e = pin_edges(int(pid))
             contrib = np.full(len(e), SCALE, dtype=np.int64) // e["deg"].to_numpy()
             outs.append(
                 pd.DataFrame({"node": e["dst"].to_numpy(), "contrib": contrib})
@@ -243,11 +256,10 @@ def _pagerank_exchange_tier(edges, iterations: int, P: int):
         pid = int(
             pd.util.hash_pandas_object(rdf[["node"]].iloc[:1], index=False).iloc[0]
         ) % P
-        path = os.path.join(work, f"pid={pid}.parquet")
-        if not os.path.exists(path):  # pid with ranks but no edges
+        if pid not in pin_rows:  # pid with ranks but no edges
             return pd.DataFrame({"node": pd.Series(dtype="int64"),
                                  "contrib": pd.Series(dtype="int64")})
-        e = pd.read_parquet(path)
+        e = pin_edges(pid)
         m = e[["src"]].merge(rdf, left_on="src", right_on="node", how="left")
         rank = m["r"].fillna(SCALE).astype("int64")
         contrib = rank.to_numpy() // e["deg"].to_numpy()
@@ -264,8 +276,8 @@ def _pagerank_exchange_tier(edges, iterations: int, P: int):
         for it in range(iterations):
             if ranks is None:
                 contribs = (
-                    rd.from_pandas(pd.DataFrame({"path": pin_files}))
-                    .repartition(max(len(pin_files), 1))  # one task per pid file
+                    rd.from_pandas(pd.DataFrame({"pid": sorted(pin_rows)}))
+                    .repartition(max(len(pin_rows), 1))  # one task per pid file
                     .map_batches(first_contribs, batch_format="pandas")
                 )
             else:

@@ -111,3 +111,114 @@ def test_disjoint_ingest_no_candidates(ray_session, tmp_path):
         num_partitions=2,
     ).to_pandas()
     assert len(out) == 0
+
+
+@pytest.mark.parametrize("with_blobs", [False, True])
+def test_bootstrap_without_index_equals_minhash_pairs_join(
+    ray_session, with_blobs
+):
+    """A store's first batch (no index) gets exactly the pairs
+    ``minhash_pairs_join`` finds in the batch, whether the docs carry
+    their packed shingle blobs or only text."""
+    from biomedical_ner_ray.stages.dedup import minhash_pairs_join, shingle_hashes
+
+    docs = pd.DataFrame(_OLD + _NEW)
+    with_sh = docs.assign(
+        shingles=[shingle_hashes(t).tobytes() for t in docs["text"]]
+    )
+    boot = incremental_minhash_pairs(
+        lambda: rd.from_pandas(with_sh if with_blobs else docs),
+        None,
+        num_partitions=2,
+    ).to_pandas()
+    join = minhash_pairs_join(
+        lambda: rd.from_pandas(docs), num_partitions=2
+    ).to_pandas()
+    assert len(join) >= 3  # (0, 1), (2, 11) and (12, 13) at least
+    pd.testing.assert_frame_equal(_sorted(boot), _sorted(join))
+
+
+def _flagged_pairs_loop(df: pd.DataFrame) -> pd.DataFrame:
+    """The per-band-key loop ``_flagged_bucket_pairs`` replaced, kept
+    as its reference."""
+    out = []
+    for _, g in df.groupby("band_key", sort=False):
+        if len(g) < 2:
+            continue
+        g = g.drop_duplicates(subset=["doc_id"]).sort_values("doc_id")
+        ids = g["doc_id"].to_numpy()
+        new = g["is_new"].to_numpy()
+        for i in range(len(ids)):
+            for j in range(i + 1, len(ids)):
+                if new[i] or new[j]:
+                    out.append((ids[i], ids[j], new[i], new[j]))
+    return pd.DataFrame(
+        out, columns=["doc_id_a", "doc_id_b", "new_a", "new_b"]
+    ).astype("int64")
+
+
+def _band_frame(seed: int) -> pd.DataFrame:
+    """Random band rows plus planted shapes: a singleton bucket, a doc
+    repeated within a bucket, one doc id carrying both ``is_new``
+    values, and an all-old bucket; rows shuffled."""
+    import numpy as np
+
+    rng = np.random.RandomState(seed)
+    n = int(rng.randint(1, 60))
+    rand = pd.DataFrame(
+        {
+            "band_key": [f"k{k}" for k in rng.randint(0, max(1, n // 3), n)],
+            "doc_id": rng.randint(0, max(2, n // 2), n).astype("int64"),
+            "is_new": rng.randint(0, 2, n).astype("int64"),
+        }
+    )
+    planted = pd.DataFrame(
+        [
+            ("single", 900, 1),
+            ("rep", 901, 1), ("rep", 901, 0), ("rep", 902, 0),
+            ("old", 903, 0), ("old", 904, 0), ("old", 903, 0),
+            ("both", 905, 0), ("both", 906, 1), ("both2", 905, 1),
+            ("both2", 907, 0),
+        ],
+        columns=["band_key", "doc_id", "is_new"],
+    ).astype({"doc_id": "int64", "is_new": "int64"})
+    df = pd.concat([rand, planted], ignore_index=True)
+    return df.sample(frac=1.0, random_state=seed).reset_index(drop=True)
+
+
+def _row_multiset(df: pd.DataFrame) -> list:
+    return sorted(map(tuple, df[["doc_id_a", "doc_id_b", "new_a", "new_b"]].values.tolist()))
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_flagged_bucket_pairs_equals_loop(seed):
+    from biomedical_ner_ray.stages.dedup import _flagged_bucket_pairs
+
+    df = _band_frame(seed)
+    got, want = _flagged_bucket_pairs(df), _flagged_pairs_loop(df)
+    assert list(got.columns) == list(want.columns)
+    assert (got.dtypes == "int64").all()
+    assert _row_multiset(got) == _row_multiset(want)
+    # the planted shapes: "rep" pairs 901 with the old 902 only when
+    # 901's first row there is new; nothing from the all-old bucket or
+    # the singleton
+    rep = df[(df["band_key"] == "rep") & (df["doc_id"] == 901)]
+    pairs = set(zip(got["doc_id_a"], got["doc_id_b"]))
+    assert ((901, 902) in pairs) == bool(rep["is_new"].iloc[0])
+    assert not ((got["doc_id_a"] == 903) & (got["doc_id_b"] == 904)).any()
+    assert not (got[["doc_id_a", "doc_id_b"]] == 900).any().any()
+
+
+def test_flagged_bucket_pairs_empty_frame():
+    from biomedical_ner_ray.stages.dedup import _flagged_bucket_pairs
+
+    empty = pd.DataFrame(
+        {
+            "band_key": pd.Series([], dtype="object"),
+            "doc_id": pd.Series([], dtype="int64"),
+            "is_new": pd.Series([], dtype="int64"),
+        }
+    )
+    got, want = _flagged_bucket_pairs(empty), _flagged_pairs_loop(empty)
+    assert len(got) == len(want) == 0
+    assert list(got.columns) == list(want.columns)

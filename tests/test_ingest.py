@@ -284,3 +284,125 @@ def test_delta_without_pairs_or_edges_then_real_delta(ray_session, deltas, tmp_p
 
     ingest_delta(store, delta_paths[0], p["alias_dict"])
     _assert_store_equals_recompute(store, p["alias_dict"])
+
+
+# exchange size-rule thresholds that force a path (tests/test_exchange_paths.py)
+SHUFFLE, IN_PROCESS = -1, 1 << 40
+HIVE_TABLES = {"edges": "edge_bucket", "vectors": "vpart", "bands": "band_bucket"}
+
+
+def _force(monkeypatch, threshold: int) -> None:
+    from biomedical_ner_ray.stages import exchange
+
+    monkeypatch.setattr(exchange, "BYTES_PER_PARTITION", threshold)
+
+
+def _hive_dirs(store: str) -> dict:
+    """{(table, bucket dir): rows sorted} of the live generation's hive
+    tables, plus {(table, bucket dir): file names}."""
+    import pyarrow.parquet as pq
+
+    from biomedical_ner_ray.pipelines.ingest import _gen_dir, _store_state
+
+    gdir = _gen_dir(store, _store_state(store)["generation"])
+    tables, names = {}, {}
+    for table, col in HIVE_TABLES.items():
+        for b in sorted(os.listdir(os.path.join(gdir, table))):
+            assert b.startswith(f"{col}=")
+            d = os.path.join(gdir, table, b)
+            files = sorted(f for f in os.listdir(d) if f.endswith(".parquet"))
+            df = pd.concat([pq.read_table(os.path.join(d, f)).to_pandas() for f in files])
+            tables[table, b] = df.sort_values(list(df.columns), ignore_index=True)
+            names[table, b] = files
+    return tables, names
+
+
+def test_hive_tables_agree_across_exchange_paths(
+    ray_session, deltas, tmp_path, monkeypatch
+):
+    """The edge, vector and band tables written from the exchange's
+    combine are the same whichever path the exchange takes, a delta adds
+    at most one band file per touched bucket, and the store equals the
+    recompute."""
+    p, delta_paths = deltas
+    from biomedical_ner_ray.pipelines.ingest import ingest_delta
+
+    small = _small_delta(delta_paths[1], str(tmp_path / "d1"), n=120)
+    got = {}
+    for name, threshold in (("shuffle", SHUFFLE), ("in_process", IN_PROCESS)):
+        _force(monkeypatch, threshold)
+        store = str(tmp_path / name)
+        for d in (delta_paths[0], small):
+            assert not ingest_delta(store, d, p["alias_dict"]).get("skipped")
+        tables, names = _hive_dirs(store)
+        for (table, b), files in names.items():
+            if table == "bands":  # one file per generation that touched it
+                gens = [f.split("-")[0] for f in files]
+                assert len(gens) == len(set(gens)) and len(gens) <= 2
+        _assert_store_equals_recompute(store, p["alias_dict"])
+        got[name] = (tables, names)
+    (t_sh, n_sh), (t_ip, n_ip) = got["shuffle"], got["in_process"]
+    assert n_sh == n_ip
+    assert {t for t, _ in t_sh} == set(HIVE_TABLES)
+    for k in t_sh:
+        pd.testing.assert_frame_equal(t_sh[k], t_ip[k])
+
+
+def _store_snapshot(store: str):
+    from biomedical_ner_ray.pipelines.ingest import (
+        store_edges,
+        store_turns,
+        store_vector_summary,
+    )
+
+    edges = store_edges(store).to_pandas()
+    turns = store_turns(store).to_pandas()
+    return (
+        json.load(open(os.path.join(store, "store.json"))),
+        edges.sort_values(list(edges.columns), ignore_index=True),
+        turns.sort_values("doc_id", ignore_index=True),
+        store_vector_summary(store),
+    )
+
+
+@pytest.mark.parametrize("table", sorted(HIVE_TABLES))
+def test_failed_store_write_keeps_generation(
+    ray_session, deltas, tmp_path, monkeypatch, table
+):
+    """A write that fails mid-way through a hive table leaves the live
+    generation and the store as they were; re-submitting the delta
+    rebuilds the orphan generation and the store equals the recompute."""
+    from biomedical_ner_ray.pipelines.ingest import ingest_delta
+    from biomedical_ner_ray.stages import exchange
+
+    p, delta_paths = deltas
+    store = str(tmp_path / "store")
+    ingest_delta(store, delta_paths[0], p["alias_dict"])
+    before = _store_snapshot(store)
+
+    _force(monkeypatch, IN_PROCESS)  # the writer runs in this process
+    real_write = exchange._write_file
+    written = []
+
+    def fail_second(table_, path):
+        if f"{os.sep}{table}{os.sep}" in path:
+            written.append(path)
+            if len(written) == 2:
+                raise OSError("disk full")
+        real_write(table_, path)
+
+    monkeypatch.setattr(exchange, "_write_file", fail_second)
+    delta = _small_delta(delta_paths[1], str(tmp_path / "d1"), n=120)
+    with pytest.raises(OSError, match="disk full"):
+        ingest_delta(store, delta, p["alias_dict"])
+    assert len(written) == 2
+    assert os.path.isdir(os.path.join(store, "gen1"))  # the orphan
+    after = _store_snapshot(store)
+    assert after[0] == before[0] and after[0]["generation"] == 0
+    for a, b in zip(after[1:], before[1:]):
+        pd.testing.assert_frame_equal(a, b)
+
+    monkeypatch.setattr(exchange, "_write_file", real_write)
+    r = ingest_delta(store, delta, p["alias_dict"])
+    assert r["delta"] == 1 and not r.get("skipped")
+    _assert_store_equals_recompute(store, p["alias_dict"])

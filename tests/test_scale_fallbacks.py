@@ -8,8 +8,11 @@ distributed fallback must produce BIT-IDENTICAL results on both tiers
   vs a brute-force pandas replay of the exact integer semantics.
 """
 
+import os
+
 import numpy as np
 import pandas as pd
+import pytest
 
 SF = "/root/testdata/sf0.001"
 
@@ -187,3 +190,55 @@ def test_sssp_exchange_tier(ray_session):
     )
     assert len(fast) > 0
     pd.testing.assert_frame_equal(fast, slow)
+
+
+@pytest.mark.parametrize("when", ["after_pin_pass", "before_attach"])
+def test_pagerank_exchange_tier_missing_pin_file_raises(
+    ray_session, tmp_path, monkeypatch, when
+):
+    """A pin file that the pin pass listed but that is gone when an
+    iteration reads it raises; it is never taken for a partition
+    without edges (which would give wrong ranks silently)."""
+    import glob
+
+    import numpy as np
+    import ray.data as rd
+
+    from biomedical_ner_ray.stages import pagerank
+    from biomedical_ner_ray.state import manifest
+
+    work = str(tmp_path / "pin")
+    monkeypatch.setattr(manifest, "sweep_stale_handoffs", lambda base: work)
+    real = pagerank.keyed_exchange
+
+    def drop_one_pin_file():
+        files = sorted(glob.glob(os.path.join(work, "pid=*.parquet")))
+        assert len(files) > 1
+        os.remove(files[0])
+
+    def hooked(ds, keys, fn, *args, **kwargs):
+        name = getattr(fn, "__name__", "")
+        if when == "before_attach" and name == "attach_contribs":
+            drop_one_pin_file()
+        out = real(ds, keys, fn, *args, **kwargs)
+        if when == "after_pin_pass" and name == "pin_write":
+            out = out.materialize()
+            drop_one_pin_file()
+        return out
+
+    monkeypatch.setattr(pagerank, "keyed_exchange", hooked)
+    rng = np.random.RandomState(9)
+    u = rng.randint(0, 400, size=3000).astype(np.int64)
+    v = rng.randint(0, 400, size=3000).astype(np.int64)
+    keep = u != v
+    e = pd.DataFrame(
+        {
+            "src": np.concatenate([u[keep], v[keep]]),
+            "dst": np.concatenate([v[keep], u[keep]]),
+        }
+    )
+    with pytest.raises(Exception, match="pin file of partition"):
+        pagerank.pagerank_int(
+            rd.from_pandas(e), iterations=3, num_partitions=8,
+            small_graph_threshold=0, broadcast_limit=0,
+        ).to_pandas()
