@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .crf import batched_decode_harness, bio_tagset, bio_transitions
+from .crf import batched_decode_harness, bio_tagset, bio_transitions, ids_to_tags
 
 CHAR_BUCKETS = 128  # hashed char-id space; id 0 = padding
 CHAR_EMBED_DIM = 16
@@ -439,10 +439,11 @@ class CombinatorialScorer:
         em, lens = self.scores_batch([tokens])
         return em[0, : int(lens[0])]
 
-    def decode_tokens_batch(self, token_lists: list[list[str]]) -> list[list[str]]:
+    def decode_tokens_batch(self, token_lists: list[list[str]]) -> list[np.ndarray]:
         """Pure-model Viterbi over many sequences: raw emissions +
-        learned transition scores under the hard BIO mask. 'O' beyond
-        MAX_SEQ_LEN (reference truncation). Runs on the shared
+        learned transition scores under the hard BIO mask; tag ids
+        (into ``self.tags``) of each sequence's first MAX_SEQ_LEN
+        tokens (reference truncation). Runs on the shared
         crf.batched_decode_harness (length-sorted buckets, one batched
         forward + batched Viterbi each). Shared verbatim by the
         distributed stage and the sequential oracle replay — and
@@ -450,10 +451,10 @@ class CombinatorialScorer:
         return batched_decode_harness(
             token_lists,
             self.trans,
-            self.tags,
             em_for_chunk=lambda chunk: self.scores_batch([t for _, t in chunk]),
             cap=self.BATCH_DECODE_SEQS,
         )
 
     def decode_tokens(self, tokens: list[str]) -> list[str]:
-        return self.decode_tokens_batch([tokens])[0]
+        """Tag strings of one sequence, 'O' past MAX_SEQ_LEN."""
+        return ids_to_tags(self.decode_tokens_batch([tokens])[0], self.tags, len(tokens))

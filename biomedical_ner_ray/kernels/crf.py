@@ -10,7 +10,8 @@ every model scorer shares (the ``torchcrf.CRF.decode`` slot, reference
   [T, K] emissions, single-sequence and batched (bit-exact vs each
   other);
 - ``batched_decode_harness``: the length-bucketed batched-decode
-  skeleton the model scorers serve through.
+  skeleton the model scorers serve through; it returns tag ids, which
+  ``ids_to_tags`` turns into tag strings.
 """
 
 from __future__ import annotations
@@ -69,10 +70,10 @@ def viterbi_decode(emissions: np.ndarray, trans: np.ndarray) -> list[int]:
 
 def viterbi_decode_batch(
     emissions: np.ndarray, lens: np.ndarray, trans: np.ndarray
-) -> list[list[int]]:
+) -> list[np.ndarray]:
     """Batched max-sum Viterbi: emissions [B, L, K] (rows padded past
     ``lens[i]``; pad cells are never read), one shared [K, K] transition
-    matrix → per-row best paths of length ``lens[i]``.
+    matrix → per-row best paths (int arrays of length ``lens[i]``).
 
     BIT-EXACT vs per-row ``viterbi_decode``: every DP step performs the
     same elementwise additions (``delta + trans``, ``+ emissions[t]``)
@@ -89,26 +90,33 @@ def viterbi_decode_batch(
     final_delta = np.empty_like(delta)
     done = lens == 1
     final_delta[done] = delta[done]
+    trans_to = np.ascontiguousarray(trans.T)  # [K_to, K_from]
     for t in range(1, int(lens.max())):
-        scores = delta[:, :, None] + trans[None]  # [B, K_from, K_to]
-        bt = np.argmax(scores, axis=1)  # [B, K_to]
+        # [B, K_to, K_from]: the source axis last, so the argmax runs
+        # over contiguous memory (same sums, same first-index ties)
+        scores = delta[:, None, :] + trans_to[None]
+        bt = np.argmax(scores, axis=2)  # [B, K_to]
         backs[t] = bt
         delta = (
-            np.take_along_axis(scores, bt[:, None, :], axis=1)[:, 0, :]
+            np.take_along_axis(scores, bt[:, :, None], axis=2)[:, :, 0]
             + emissions[:, t]
         )
         done = lens == t + 1
         if done.any():
             final_delta[done] = delta[done]
-    out: list[list[int]] = []
-    for i in range(B):
-        n = int(lens[i])
-        path = [int(np.argmax(final_delta[i]))]
-        for t in range(n - 1, 0, -1):
-            path.append(int(backs[t, i, path[-1]]))
-        path.reverse()
-        out.append(path)
-    return out
+    # backtrace, one step for every row at once: a row joins at its own
+    # last position with its final argmax; what it holds at the pad
+    # positions past its end is sliced off
+    last = np.argmax(final_delta, axis=1)
+    rows = np.arange(B)
+    paths = np.zeros((B, L), dtype=np.int64)
+    cur = last
+    for t in range(int(lens.max()) - 1, -1, -1):
+        cur = np.where(lens - 1 == t, last, cur)
+        paths[:, t] = cur
+        if t:
+            cur = backs[t, rows, cur]
+    return [paths[i, : int(lens[i])] for i in range(B)]
 
 
 # Sequences per decode bucket in the shared batched-decode harness:
@@ -119,31 +127,34 @@ DECODE_BUCKET_SEQS = 256
 def batched_decode_harness(
     token_lists,
     trans: np.ndarray,
-    tags: list[str],
     em_for_chunk,
     cap: int = DECODE_BUCKET_SEQS,
-) -> list[list[str]]:
+) -> list[np.ndarray]:
     """The ONE skeleton every model scorer's ``decode_tokens_batch``
     runs on: clamp each sequence to MAX_SEQ_LEN, length-sort the work
     list (stable on original index), run ≤``cap``-sequence buckets
-    through ``em_for_chunk`` + one batched Viterbi each, and reassemble
-    per-row results, ``'O'``-padded past MAX_SEQ_LEN (reference
-    truncation).
+    through ``em_for_chunk`` + one batched Viterbi each, and return per
+    input sequence its tag ids into the scorer's ``bio_tagset`` — an
+    int array over the first MAX_SEQ_LEN tokens (reference truncation:
+    the tokens past it are ``'O'``, see ``ids_to_tags``).
 
     ``em_for_chunk(chunk)`` → (emissions [B, L, K] end-padded, lens [B])
     for ``chunk`` = list of (original_index, clamped tokens)."""
-    results: list[list[str]] = [[] for _ in token_lists]
-    work: list[tuple[int, list[str]]] = []
-    for i, toks in enumerate(token_lists):
-        if toks:
-            work.append((i, toks[:MAX_SEQ_LEN]))
-    work.sort(key=lambda it: (len(it[1]), it[0]))
+    results = [np.zeros(0, dtype=np.int64) for _ in token_lists]
+    lens = np.fromiter((min(len(t), MAX_SEQ_LEN) for t in token_lists), np.int64,
+                       len(token_lists))
+    order = np.argsort(lens, kind="stable")  # by (clamped length, index)
+    work = [(i, token_lists[i][:MAX_SEQ_LEN]) for i in order[lens[order] > 0].tolist()]
     for s in range(0, len(work), cap):
         chunk = work[s : s + cap]
         em, lens = em_for_chunk(chunk)
         paths = viterbi_decode_batch(em, lens, trans)
-        for (i, toks), path in zip(chunk, paths):
-            results[i] = [tags[j] for j in path] + ["O"] * (
-                len(token_lists[i]) - len(toks)
-            )
+        for (i, _toks), path in zip(chunk, paths):
+            results[i] = path
     return results
+
+
+def ids_to_tags(ids, tags: list[str], n_tokens: int) -> list[str]:
+    """Tag strings of one decoded sequence: ``ids`` cover its first
+    MAX_SEQ_LEN tokens, the rest of its ``n_tokens`` are ``'O'``."""
+    return [tags[j] for j in ids] + ["O"] * (n_tokens - len(ids))

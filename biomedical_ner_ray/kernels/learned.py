@@ -22,6 +22,20 @@ Architecture (deliberately small but real):
 - BIO-constrained Viterbi decode (kernels/crf.py, A7) over the first
   ``MAX_SEQ_LEN`` tokens (reference truncation, app.py:218-219).
 
+Serving computes the emissions by gather-add, not by the dense
+``[T, FEATURE_DIM] @ W``: the features are a token-local block plus two
+one-hots, so row t is
+
+    Etok[tok_t] + W_prev[ctx(tok_{t-1}) or BOS] + W_next[ctx(tok_{t+1}) or EOS] + b
+
+with ``Etok = gemm_fixed(base_rows, W[:BASE_DIM])`` cached per distinct
+token on the scorer instance. ``gemm_fixed`` is row-pure and the adds
+are elementwise, so a row never depends on how the batch was composed,
+and ``decode_tokens`` is the one-sequence case of
+``decode_tokens_batch``. Training (pipelines/train_tagger.py) still
+builds dense rows through ``row_feature``; the two sums agree up to the
+last bits of their rounding.
+
 Everything is process-stable (crc32 features, no builtin hash), so a
 checkpoint decodes identically on every worker and in the sequential
 oracle replay.
@@ -30,8 +44,9 @@ oracle replay.
 from __future__ import annotations
 
 import numpy as np
+import pyarrow as pa
 
-from .crf import batched_decode_harness, bio_tagset, bio_transitions, viterbi_decode
+from .crf import batched_decode_harness, bio_tagset, bio_transitions, ids_to_tags
 from .tokenize import MAX_SEQ_LEN
 
 CHAR_BUCKETS = 96
@@ -116,8 +131,11 @@ def features(tokens: list[str]) -> np.ndarray:
 class LearnedScorer:
     """Inference-side scorer for ``annotate_stage(scorer="learned")``:
     checkpoint (W, b) loaded ONCE per actor/worker (A1 contract, S5
-    strict/partial restore), Viterbi decode per turn. Output depends
-    only on the trained weights."""
+    strict/partial restore), batched Viterbi over gather-add emissions.
+    Output depends only on the trained weights."""
+
+    # bound on the per-scorer token-row cache, as for _FEAT_CACHE
+    ETOK_CACHE_MAX = 500_000
 
     def __init__(self, types: list[str], checkpoint_path: str):
         self.tags = bio_tagset(types)
@@ -132,41 +150,92 @@ class LearnedScorer:
         self.checkpoint_report = load_into(checkpoint_path, params)
         self.W = params["W"]
         self.b = params["b"]
+        self._w_base = np.ascontiguousarray(self.W[:BASE_DIM])
+        self._w_prev = self.W[_PREV_OFF : _PREV_OFF + CTX_BUCKETS + 1]
+        self._w_next = self.W[_NEXT_OFF : _NEXT_OFF + CTX_BUCKETS + 1]
+        # Etok rows of this checkpoint: token -> row of _etok. On the
+        # instance, not the module: two checkpoints in one worker must
+        # never share rows.
+        self._etok_row: dict[str, int] = {}
+        self._etok = np.zeros((1024, k), dtype=np.float64)
 
-    def decode_tokens(self, tokens: list[str]) -> list[str]:
-        """Viterbi tags for the first MAX_SEQ_LEN tokens; 'O' beyond
-        (reference truncation). The single decode path shared by the
-        distributed stage AND the sequential oracle replay."""
-        limit = min(len(tokens), MAX_SEQ_LEN)
-        if limit == 0:
-            return ["O"] * len(tokens)
-        em = features(tokens[:limit]).astype(np.float64) @ self.W + self.b
-        path = viterbi_decode(em, self.trans)
-        return [self.tags[i] for i in path] + ["O"] * (len(tokens) - limit)
+    def _token_rows(self, uniq: list[str]) -> np.ndarray:
+        """[U, K] ``Etok`` rows of distinct tokens; misses go through
+        ``features`` and one ``gemm_fixed``, which is row-pure, so a
+        row never depends on which other tokens missed with it."""
+        from .combinatorial import gemm_fixed
 
-    def decode_tokens_batch(self, token_lists: list[list[str]]) -> list[list[str]]:
-        """Batched decode: per-sequence emissions (their matmul row
-        count IS the sequence length, so per-sequence floats never
-        depend on batching) + one batched Viterbi per length-sorted
-        bucket — bit-identical to ``decode_tokens`` per row. Runs on
-        the shared crf.batched_decode_harness."""
+        get = self._etok_row.get
+        ids = np.fromiter((get(t, -1) for t in uniq), dtype=np.int64, count=len(uniq))
+        out = self._etok[np.maximum(ids, 0)]
+        miss = np.flatnonzero(ids < 0)
+        if len(miss):
+            toks = [uniq[i] for i in miss]
+            base = features(toks)[:, :BASE_DIM].astype(np.float64)
+            rows = gemm_fixed(base, self._w_base)
+            out[miss] = rows
+            n = len(self._etok_row)
+            keep = min(len(toks), self.ETOK_CACHE_MAX - n)
+            if keep > 0:
+                if n + keep > len(self._etok):
+                    grown = np.zeros((max(2 * len(self._etok), n + keep),
+                                      self._etok.shape[1]))
+                    grown[:n] = self._etok[:n]
+                    self._etok = grown
+                self._etok[n : n + keep] = rows[:keep]
+                self._etok_row.update(zip(toks[:keep], range(n, n + keep)))
+        return out
+
+    def emissions(self, seqs: list[list[str]]) -> np.ndarray:
+        """[sum(len), K] emissions of the concatenated non-empty
+        sequences, row by row ``Etok[tok] + W_prev[ctx(prev) or BOS] +
+        W_next[ctx(next) or EOS] + b`` — the rows of ``features(seq) @
+        W + b`` regrouped: the token-local block is a gather from the
+        per-token cache, the two context one-hots are row gathers."""
+        lens = np.fromiter((len(q) for q in seqs), dtype=np.int64, count=len(seqs))
+        enc = pa.array([t for q in seqs for t in q], pa.string()).dictionary_encode()
+        uniq = enc.dictionary.to_pylist()
+        inv = enc.indices.to_numpy()
+        ctx = np.fromiter((_ctx_id(t) for t in uniq), dtype=np.int64,
+                          count=len(uniq))[inv]
+        ends = np.cumsum(lens)
+        starts = ends - lens
+        prev = np.empty_like(ctx)
+        prev[1:] = ctx[:-1]
+        prev[starts] = CTX_BUCKETS  # BOS
+        nxt = np.empty_like(ctx)
+        nxt[:-1] = ctx[1:]
+        nxt[ends - 1] = CTX_BUCKETS  # EOS
+        return self._token_rows(uniq)[inv] + self._w_prev[prev] + self._w_next[nxt] + self.b
+
+    def decode_tokens_batch(self, token_lists: list[list[str]]) -> list[np.ndarray]:
+        """Tag ids (into ``self.tags``) of each sequence's first
+        MAX_SEQ_LEN tokens: the emissions of every clamped sequence in
+        one ``emissions`` call, then one batched Viterbi per
+        length-sorted bucket on the shared crf.batched_decode_harness.
+        Every emission row is a pure function of its token and its two
+        neighbours, so a row's ids never depend on the batch."""
+        clamped = [t[:MAX_SEQ_LEN] for t in token_lists if t]
+        if not clamped:
+            return [np.zeros(0, dtype=np.int64) for _ in token_lists]
+        em_flat = self.emissions(clamped)
+        lens = np.fromiter((len(t[:MAX_SEQ_LEN]) for t in token_lists),
+                           dtype=np.int64, count=len(token_lists))
+        offs = np.cumsum(lens) - lens  # empty sequences add no rows
 
         def em_for_chunk(chunk):
-            lens = np.fromiter(
-                (len(t) for _, t in chunk), dtype=np.int64, count=len(chunk)
-            )
-            em = np.zeros(
-                (len(chunk), int(lens.max()), self.b.shape[0]), dtype=np.float64
-            )
-            for bi, (_i, toks) in enumerate(chunk):
-                em[bi, : len(toks)] = (
-                    features(toks).astype(np.float64) @ self.W + self.b
-                )
-            return em, lens
+            idx = np.fromiter((i for i, _ in chunk), dtype=np.int64, count=len(chunk))
+            cl = lens[idx]
+            em = np.zeros((len(chunk), int(cl.max()), self.b.shape[0]))
+            r = np.repeat(np.arange(len(chunk)), cl)
+            c = np.arange(int(cl.sum())) - np.repeat(np.cumsum(cl) - cl, cl)
+            em[r, c] = em_flat[offs[idx][r] + c]
+            return em, cl
 
-        return batched_decode_harness(
-            token_lists,
-            self.trans,
-            self.tags,
-            em_for_chunk=em_for_chunk,
-        )
+        return batched_decode_harness(token_lists, self.trans, em_for_chunk)
+
+    def decode_tokens(self, tokens: list[str]) -> list[str]:
+        """Tag strings of one sequence, 'O' past MAX_SEQ_LEN: the B=1
+        case of ``decode_tokens_batch``, so the sequential oracle
+        replay and the distributed stage run one decode path."""
+        return ids_to_tags(self.decode_tokens_batch([tokens])[0], self.tags, len(tokens))

@@ -67,6 +67,16 @@ class AliasDict:
         self.by_key = best
         self.by_key_all = by_key_all
         self.max_ngram = min(max_n, MAX_NGRAM)
+        # first token -> longest key length starting with it (capped at
+        # max_ngram): a token that opens no key skips the n-gram joins,
+        # and one that does tries only the lengths some key can have
+        first: dict[str, int] = {}
+        for k in best:
+            n = min(k.count(" ") + 1, self.max_ngram)
+            head = k.split(" ", 1)[0]
+            if n > first.get(head, 0):
+                first[head] = n
+        self.first_ngram = first
 
     def lookup(self, key: str) -> AliasEntry | None:
         return self.by_key.get(key)
@@ -82,20 +92,18 @@ def tag_tokens(tokens: list[str], alias_dict: AliasDict) -> list[str]:
     limit = min(n_tok, MAX_SEQ_LEN)
     tags = ["O"] * n_tok
     lowered = [t.lower() for t in tokens[:limit]]
-    i = 0
-    max_n = alias_dict.max_ngram
-    while i < limit:
-        matched = False
-        for n in range(min(max_n, limit - i), 0, -1):
-            key = " ".join(lowered[i : i + n])
-            entry = alias_dict.lookup(key)
+    first = alias_dict.first_ngram
+    end = 0  # tokens before ``end`` are inside an earlier match
+    # only a token that opens some key can start a match
+    for i in [i for i, w in enumerate(lowered) if w in first]:
+        if i < end:
+            continue
+        for n in range(min(first[lowered[i]], limit - i), 0, -1):
+            entry = alias_dict.lookup(" ".join(lowered[i : i + n]))
             if entry is not None:
                 tags[i] = f"B-{entry.type}"
                 for j in range(i + 1, i + n):
                     tags[j] = f"I-{entry.type}"
-                i += n
-                matched = True
+                end = i + n
                 break
-        if not matched:
-            i += 1
     return tags

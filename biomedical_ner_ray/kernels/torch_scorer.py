@@ -27,7 +27,7 @@ import numpy as np
 
 from ..kernels.tokenize import MAX_SEQ_LEN
 from .combinatorial import CombinatorialScorer
-from .crf import viterbi_decode
+from .crf import ids_to_tags, viterbi_decode
 
 
 class TorchCombinatorialScorer:
@@ -142,13 +142,15 @@ class TorchCombinatorialScorer:
             return em.double().cpu().numpy()
 
     # -- decode (the annotate-stage contract) -------------------------
-    def decode_tokens(self, tokens: list[str]) -> list[str]:
-        limit = min(len(tokens), MAX_SEQ_LEN)
-        if limit == 0:
-            return ["O"] * len(tokens)
-        em = self.scores(tokens[:limit])
-        path = viterbi_decode(em, self.trans)
-        return [self.tags[i] for i in path] + ["O"] * (len(tokens) - limit)
+    def decode_tokens_batch(self, token_lists: list[list[str]]) -> list[np.ndarray]:
+        """Tag ids (into ``self.tags``) of each sequence's first
+        MAX_SEQ_LEN tokens, one torch forward per sequence."""
+        out = []
+        for toks in token_lists:
+            toks = toks[:MAX_SEQ_LEN]
+            path = viterbi_decode(self.scores(toks), self.trans) if toks else []
+            out.append(np.asarray(path, dtype=np.int64))
+        return out
 
-    def decode_tokens_batch(self, token_lists: list[list[str]]) -> list[list[str]]:
-        return [self.decode_tokens(toks) for toks in token_lists]
+    def decode_tokens(self, tokens: list[str]) -> list[str]:
+        return ids_to_tags(self.decode_tokens_batch([tokens])[0], self.tags, len(tokens))

@@ -81,20 +81,31 @@ def _read(path_or_dir: str, columns=None):
     return rd.read_parquet(files, columns=columns)
 
 
+BUCKET_COUNTERS = ("turns", "tokens", "mentions", "triples", "empty_turns",
+                   "truncated_turns")
+
+
 def _bucket_counters(bdir: str) -> dict:
-    """Per-partition counters from the count columns (column-pruned read)."""
-    import pyarrow.parquet as _pq
+    """Per-partition counters from the count columns (column-pruned
+    read). Bad input is counted, never dropped silently: a turn with no
+    tokens (null, empty or blank text) is an ``empty_turn``; one past
+    ``MAX_SEQ_LEN`` tokens is a ``truncated_turn`` (tagged only up to
+    the limit)."""
+    import pyarrow.compute as pc
 
-    turns = tokens = mentions = triples = 0
+    from ..kernels.tokenize import MAX_SEQ_LEN
+
+    c = dict.fromkeys(BUCKET_COUNTERS, 0)
     for f in mf.list_parquet_files(bdir):
-        t = _pq.read_table(f, columns=["n_tokens", "n_mentions", "n_triples"])
-        turns += t.num_rows
-        import pyarrow.compute as pc
-
-        tokens += pc.sum(t["n_tokens"]).as_py() or 0
-        mentions += pc.sum(t["n_mentions"]).as_py() or 0
-        triples += pc.sum(t["n_triples"]).as_py() or 0
-    return {"turns": turns, "tokens": tokens, "mentions": mentions, "triples": triples}
+        t = pq.read_table(f, columns=["n_tokens", "n_mentions", "n_triples"])
+        n_tokens = t["n_tokens"]
+        c["turns"] += t.num_rows
+        c["tokens"] += pc.sum(n_tokens).as_py() or 0
+        c["mentions"] += pc.sum(t["n_mentions"]).as_py() or 0
+        c["triples"] += pc.sum(t["n_triples"]).as_py() or 0
+        c["empty_turns"] += pc.sum(pc.equal(n_tokens, 0)).as_py() or 0
+        c["truncated_turns"] += pc.sum(pc.greater(n_tokens, MAX_SEQ_LEN)).as_py() or 0
+    return c
 
 
 def run_kg_pipeline(
@@ -179,7 +190,8 @@ def run_kg_pipeline(
             ).write_parquet(tmp)
 
         m = mf.run_stage(f"annotations/{b}", bdir, bfp, build_ann)
-        if not m["skipped"] and "turns" not in m.get("counters", {}):
+        if not set(BUCKET_COUNTERS) <= set(m.get("counters", {})):
+            # also back-fills a resumed bucket whose manifest predates a counter
             m["counters"] = _bucket_counters(bdir)
             mf.update_manifest(bdir, counters=m["counters"])
         return m
@@ -224,6 +236,10 @@ def run_kg_pipeline(
             "rows": sum(m["rows"] for m in ann_manifests),
             "skipped_buckets": sum(1 for m in ann_manifests if m["skipped"]),
             "built_buckets": sum(1 for m in ann_manifests if not m["skipped"]),
+            "empty_turns": sum(m["counters"]["empty_turns"] for m in ann_manifests),
+            "truncated_turns": sum(
+                m["counters"]["truncated_turns"] for m in ann_manifests
+            ),
             "buckets": ann_manifests,
         }
 

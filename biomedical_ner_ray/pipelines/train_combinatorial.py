@@ -45,7 +45,7 @@ import pyarrow.parquet as pq
 from ..kernels import combi_train as ct
 from ..kernels.blasctl import single_threaded_blas
 from ..kernels.combinatorial import CombinatorialScorer, MAX_CHAR_LEN
-from ..kernels.crf import bio_tagset, bio_transitions, viterbi_decode
+from ..kernels.crf import bio_tagset, bio_transitions, ids_to_tags, viterbi_decode
 from ..kernels.hashing import stable_u64_md5
 from ..kernels.tagger import AliasDict, tag_tokens
 from ..kernels.tokenize import MAX_SEQ_LEN
@@ -405,7 +405,8 @@ def replay_expected_tags(
             distinct[key] = len(seqs)
             seqs.append(list(tokens))
     with single_threaded_blas():
-        tag_seqs = scorer.decode_tokens_batch(seqs)
+        id_seqs = scorer.decode_tokens_batch(seqs)
+    tag_seqs = [ids_to_tags(ids, scorer.tags, len(q)) for ids, q in zip(id_seqs, seqs)]
     decoded = [
         (conv_id, turn_idx, tokens, tag_seqs[distinct[tuple(tokens)]])
         for conv_id, turn_idx, tokens in turns

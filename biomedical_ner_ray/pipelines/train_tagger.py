@@ -53,6 +53,10 @@ from ..state import manifest as mf
 from ..state.checkpoint import save_checkpoint
 
 TAGGER_VERSION = "tagger-v1"
+# serving-decode version: part of the replay fingerprint only, so a
+# change to how LearnedScorer computes emissions rebuilds the cached
+# expected_tags replay while the checkpoint stays cached
+SERVE_VERSION = "tagger-serve-v2"
 MAX_EPOCHS = 24
 PATIENCE = 4
 LR = 1e-3
@@ -311,7 +315,8 @@ def ensure_tagger_artifacts(replay_sf: str | None = None) -> dict:
         rp = ensure_fixture(replay_sf)
         rfiles = mf.list_parquet_files(rp["transcripts"])
         rfp = mf.fingerprint(
-            TAGGER_VERSION, "replay", in_fp, mf.input_fingerprint(rfiles)
+            TAGGER_VERSION, SERVE_VERSION, "replay", in_fp,
+            mf.input_fingerprint(rfiles),
         )
         rdir = os.path.join(root, f"replay_{replay_sf}")
 

@@ -15,6 +15,7 @@ from biomedical_ner_ray.kernels.combinatorial import (
     CombinatorialScorer,
     lstm_forward,
 )
+from biomedical_ner_ray.kernels.crf import ids_to_tags
 
 TYPES = ["protein", "DNA", "cell_type"]
 TOKS = "the il-2 receptor alpha chain binds to the promoter region of gene x".split()
@@ -42,7 +43,10 @@ def test_all_gate_combinations_decode_equivalent():
             use_fc_fusion=fus, use_lstm=ctx,
         )
         assert s.scores(TOKS).shape == (len(TOKS), len(s.tags)), gates
-        batch = s.decode_tokens_batch(seqs)
+        batch = [
+            ids_to_tags(ids, s.tags, len(x))
+            for ids, x in zip(s.decode_tokens_batch(seqs), seqs)
+        ]
         assert batch == [s.decode_tokens(x) for x in seqs], gates
         for x, tags in zip(seqs, batch):
             _assert_valid_bio(tags, len(x))
@@ -230,7 +234,10 @@ def test_batched_decode_equals_sequential_bitwise():
     from biomedical_ner_ray.kernels.crf import bio_transitions
 
     s.trans = bio_transitions(s.tags) + s.params["trans_w"]
-    batch = s.decode_tokens_batch([list(x) for x in seqs])
+    batch = [
+        ids_to_tags(ids, s.tags, len(x))
+        for ids, x in zip(s.decode_tokens_batch([list(x) for x in seqs]), seqs)
+    ]
     single = [s.decode_tokens(list(x)) for x in seqs]
     assert batch == single
     # emissions bit-equality across compositions

@@ -7,6 +7,7 @@ from biomedical_ner_ray.kernels.crf import (
     bio_tagset,
     bio_transitions,
     viterbi_decode,
+    viterbi_decode_batch,
 )
 
 
@@ -39,3 +40,26 @@ def test_viterbi_hand_case():
 
 def test_viterbi_empty():
     assert viterbi_decode(np.zeros((0, 3)), np.zeros((3, 3))) == []
+
+
+def test_viterbi_batch_equals_per_row():
+    """The batched decode (its backtrace runs one step for all rows)
+    gives the per-row ``viterbi_decode`` ints on ragged batches, with
+    learned transitions under the BIO mask and with many exact ties
+    (small-integer scores) that first-index argmax must break alike."""
+    rng = np.random.RandomState(0)
+    tags = bio_tagset(["x", "y", "z"])
+    k = len(tags)
+    for trial in range(30):
+        b = rng.randint(1, 12)
+        lens = rng.randint(1, 25, size=b)
+        if trial % 2:
+            em = rng.randint(0, 3, size=(b, lens.max(), k)).astype(np.float64)
+            trans = bio_transitions(tags) + rng.randint(0, 2, size=(k, k))
+        else:
+            em = rng.randn(b, lens.max(), k)
+            trans = bio_transitions(tags) + rng.randn(k, k) * 0.5
+        em[np.arange(lens.max())[None, :] >= lens[:, None]] = 7.0  # pad
+        got = viterbi_decode_batch(em, lens, trans)
+        for i in range(b):
+            assert list(got[i]) == viterbi_decode(em[i, : lens[i]], trans), trial

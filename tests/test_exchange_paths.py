@@ -99,3 +99,63 @@ def test_kg_shards_byte_identical_across_paths(
         }
     assert len(shards["shuffle"]) == 16  # 8 shards per table at this scale
     assert shards["shuffle"] == shards["in_process"]
+
+
+def _shards(out_dir: str) -> dict:
+    return {
+        os.path.basename(f): open(f, "rb").read()
+        for f in sorted(glob.glob(os.path.join(out_dir, "part-*.parquet")))
+    }
+
+
+@pytest.mark.parametrize("threshold", [SHUFFLE, IN_PROCESS], ids=["shuffle", "in_process"])
+def test_edges_shards_at_wide_partition_counts(ray_session, tmp_path, monkeypatch,
+                                               threshold):
+    """The edges plan written at 8, 64 and 512 partitions on a forced
+    path: the shards' union is table-equal to the 8-wide build, every
+    key sits in shard ``hash(keys) % P``, and each shard file has the
+    bytes the other path writes."""
+    import numpy as np
+    import pyarrow.parquet as pq
+    import ray
+    import ray.data as rd
+
+    from biomedical_ner_ray.stages.exchange import sharded_sorted_write
+    from biomedical_ner_ray.stages.graph import EDGE_KEYS, edges_plan
+
+    rng = np.random.RandomState(0)
+    cuis = [f"C{i:07d}" for i in range(300)]
+    n = 6000
+    df = pd.DataFrame({
+        "subj_cui": rng.choice(cuis, n),
+        "pred": rng.choice(["binds", "co_occurs_with", "expressed_in"], n),
+        "obj_cui": rng.choice(cuis, n),
+    })
+    # canonical components merge every third CUI into one
+    comp_ref = ray.put({c: cuis[i - i % 3] for i, c in enumerate(cuis)})
+
+    def build(P: int, thr: int) -> str:
+        out = str(tmp_path / f"{thr}-{P}")
+        if not os.path.isdir(out):
+            _force(monkeypatch, thr)
+            os.makedirs(out)
+            sharded_sorted_write(
+                *edges_plan(lambda: rd.from_pandas(df), comp_ref), out, P
+            )
+        return out
+
+    def union(out: str) -> pa.Table:
+        t = pa.concat_tables(pq.read_table(f) for f in glob.glob(f"{out}/part-*.parquet"))
+        return t.sort_by([(k, "ascending") for k in EDGE_KEYS])
+
+    base = union(build(8, IN_PROCESS))
+    assert base.num_rows > 1000
+    for P in (8, 64, 512):
+        out = build(P, threshold)
+        assert union(out).equals(base), P
+        for name, blob in _shards(out).items():
+            shard = pq.read_table(pa.BufferReader(blob)).to_pandas()
+            h = pd.util.hash_pandas_object(shard[EDGE_KEYS], index=False) % P
+            assert (h == int(name[5:10])).all(), (P, name)
+        if threshold == SHUFFLE:
+            assert _shards(out) == _shards(build(P, IN_PROCESS)), P

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from biomedical_ner_ray.kernels.bio import extract_entities
 from biomedical_ner_ray.kernels.learned import LearnedScorer, features, row_feature
 from biomedical_ner_ray.kernels.tagger import AliasDict, tag_tokens
+from biomedical_ner_ray.kernels.tokenize import MAX_SEQ_LEN
 from biomedical_ner_ray.metrics import set_prf
 
 token_st = st.text(
@@ -237,3 +238,78 @@ def test_north_rule_triples_band_end_to_end(ray_session, tagger_artifacts):
     m = set_prf(pred, gold)
     assert m["precision"] >= 0.95, m
     assert 0.95 <= m["recall"] < 1.0, m
+
+
+LEARNED_TYPES = ["DNA", "cell_type", "protein"]
+WORDS = ["IL-2", "receptor", "gene", "binds", "the", "of", "alpha", "p53",
+         "promoter", "x", "cells", "expression", ",", "İl-2", "ΟΔΟΣ"]
+
+
+def _random_scorer(tmp_path, name: str, seed: int) -> LearnedScorer:
+    """A LearnedScorer over seeded random weights."""
+    from biomedical_ner_ray.kernels.learned import FEATURE_DIM
+    from biomedical_ner_ray.state.checkpoint import save_checkpoint
+
+    rng = np.random.RandomState(seed)
+    k = 1 + 2 * len(LEARNED_TYPES)
+    path = str(tmp_path / f"{name}.npz")
+    save_checkpoint(path, {"W": rng.randn(FEATURE_DIM, k), "b": rng.randn(k)})
+    return LearnedScorer(LEARNED_TYPES, path)
+
+
+def _seqs(seed: int, n: int = 60) -> list[list[str]]:
+    rng = np.random.RandomState(seed)
+    lens = rng.choice([0, 1, 2, 5, 17, 40, 99, 100, 101, 130], size=n)
+    return [[WORDS[j] for j in rng.randint(len(WORDS), size=m)] for m in lens]
+
+
+def test_learned_batched_decode_equals_sequential_bitwise(tmp_path):
+    """decode_tokens_batch rows equal decode_tokens under random
+    mixed-length compositions (cold and warm token-row cache), and a
+    sequence's emission rows are the same bits in any composition."""
+    from biomedical_ner_ray.kernels.crf import ids_to_tags
+
+    s = _random_scorer(tmp_path, "w", 3)
+    seqs = _seqs(4)
+    single = [s.decode_tokens(q) for q in seqs]
+    rng = np.random.RandomState(5)
+    for _ in range(4):
+        order = rng.permutation(len(seqs))[: rng.randint(1, len(seqs) + 1)]
+        batch = s.decode_tokens_batch([seqs[i] for i in order])
+        assert [ids_to_tags(ids, s.tags, len(seqs[i])) for i, ids in zip(order, batch)] \
+            == [single[i] for i in order]
+    a, b = [q for q in seqs if q][:2]
+    em = s.emissions([b, a[:MAX_SEQ_LEN], b])
+    assert np.array_equal(em[len(b): len(b) + len(a[:MAX_SEQ_LEN])],
+                          s.emissions([a[:MAX_SEQ_LEN]]))
+    # gather-add is the dense linear model regrouped
+    np.testing.assert_allclose(
+        s.emissions([b]), features(b).astype(np.float64) @ s.W + s.b,
+        rtol=1e-12, atol=1e-12,
+    )
+
+
+def test_learned_scorers_do_not_share_token_rows(tmp_path):
+    """Two checkpoints decoding interleaved in one process each equal a
+    fresh scorer of the same checkpoint: token rows are cached per
+    scorer, never across checkpoints."""
+    seqs = _seqs(8, 30)
+    a = _random_scorer(tmp_path, "a", 1)
+    b = _random_scorer(tmp_path, "b", 2)
+    got_a1 = [list(x) for x in a.decode_tokens_batch(seqs)]
+    got_b = [list(x) for x in b.decode_tokens_batch(seqs)]
+    got_a2 = [list(x) for x in a.decode_tokens_batch(seqs)]
+    fresh_a = _random_scorer(tmp_path, "a2", 1)
+    fresh_b = _random_scorer(tmp_path, "b2", 2)
+    assert got_a1 == got_a2 == [list(x) for x in fresh_a.decode_tokens_batch(seqs)]
+    assert got_b == [list(x) for x in fresh_b.decode_tokens_batch(seqs)]
+    assert got_a1 != got_b  # the two weight sets really decode differently
+    some = [q for q in seqs if q][:3]
+    assert np.array_equal(b.emissions(some), fresh_b.emissions(some))
+    # and each is its own dense linear model, whatever decoded before
+    for x in (a, b):
+        for q in some:
+            np.testing.assert_allclose(
+                x.emissions([q]), features(q).astype(np.float64) @ x.W + x.b,
+                rtol=1e-12, atol=1e-12,
+            )

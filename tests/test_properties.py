@@ -174,3 +174,44 @@ def test_winnowing_batch_matches_per_doc(texts):
     }
     want = {i: s for i, s in want.items() if s}
     assert got == want
+
+
+def _greedy_reference(tokens, ad: AliasDict) -> list[str]:
+    """The tagger's greedy longest match as a plain scan that tries every
+    length up to ``max_ngram`` at every position (no first-token index)."""
+    limit = min(len(tokens), MAX_SEQ_LEN)
+    tags = ["O"] * len(tokens)
+    low = [t.lower() for t in tokens[:limit]]
+    i = 0
+    while i < limit:
+        for n in range(min(ad.max_ngram, limit - i), 0, -1):
+            entry = ad.lookup(" ".join(low[i : i + n]))
+            if entry is not None:
+                tags[i : i + n] = [f"B-{entry.type}"] + [f"I-{entry.type}"] * (n - 1)
+                i += n
+                break
+        else:
+            i += 1
+    return tags
+
+
+_VOCAB = ["a", "b", "c", "A", "B", "d", "İ", "Σ"]
+
+
+@given(
+    st.lists(st.tuples(st.lists(st.sampled_from(_VOCAB), min_size=1, max_size=6),
+                       types_st), min_size=1, max_size=12),
+    st.lists(st.sampled_from(_VOCAB + ["x"]), max_size=120),
+)
+@settings(max_examples=300, deadline=None)
+def test_tagger_first_token_index_equals_full_scan(aliases, tokens):
+    """Random dictionaries whose keys share first tokens, overlap, and run
+    past MAX_NGRAM tokens: the first-token index tags exactly as the
+    full scan does."""
+    rows = [
+        {"alias": " ".join(toks), "alias_key": " ".join(t.lower() for t in toks),
+         "cui": f"C{i:03d}", "type": typ, "canonical_name": f"n{i}"}
+        for i, (toks, typ) in enumerate(aliases)
+    ]
+    ad = AliasDict(rows)
+    assert tag_tokens(tokens, ad) == _greedy_reference(tokens, ad)
