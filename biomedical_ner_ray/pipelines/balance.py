@@ -320,7 +320,7 @@ def run_balance_pipeline(sent_ds_factory, kv_path: str, *, concurrency: int = 2)
 
     # join quotas back onto sentence payloads via broadcast (the quota
     # table is #candidate-sentences rows of 3 tiny columns — broadcast
-    # beats a payload shuffle; at 10⁹ sentences switch to Dataset.join)
+    # beats a payload shuffle; at 10⁹ sentences switch to keyed_join)
     import ray
 
     adf = assigned.to_pandas()

@@ -88,15 +88,6 @@ def _fixture(sf_dir: str) -> dict[str, str]:
     return ensure_fixture(sf_name_from_dir(sf_dir))
 
 
-def _strip_meta(ds):
-    """Drop schema metadata (testdata parquet carries a pandas dict that
-    the hash-shuffle aggregators fail to hash, logging noise on every
-    join input block)."""
-    return ds.map_batches(
-        lambda t: t.replace_schema_metadata(None), batch_format="pyarrow"
-    )
-
-
 def _alias_rows(paths: dict) -> list[dict]:
     return pq.read_table(paths["alias_dict"]).to_pylist()
 
@@ -1426,17 +1417,16 @@ ANTI_JOIN_CUTOFF = "2000-01-01"
 
 def customers_without_orders(sf_dir: str):
     """Distributed ANTI-join: customers with no order since
-    ANTI_JOIN_CUTOFF (churn-style query) via Ray's native left_anti
-    hash join — no driver-side key-set accumulation, so the operator
-    scales to 10⁸ customers. The orders side is filtered at the read
-    and reduced to per-block distinct keys before the exchange."""
-    from .stages.exchange import hash_shuffle
+    ANTI_JOIN_CUTOFF (churn-style query) as a left_anti
+    ``keyed_join`` — no driver-side key-set accumulation, so the
+    operator scales to 10⁸ customers. The orders side is filtered at
+    the read and reduced to per-block distinct keys before the
+    exchange."""
+    from .stages.exchange import keyed_join
 
     cutoff = pd.Timestamp(ANTI_JOIN_CUTOFF)
 
     def recent_keys(batch: pa.Table) -> pa.Table:
-        # pure-Arrow (no pandas schema metadata — the hash-shuffle
-        # aggregators hash block schemas and dict metadata breaks it)
         import pyarrow.compute as pc
 
         ts = pc.cast(batch["o_orderdate"], pa.timestamp("us"))
@@ -1445,18 +1435,10 @@ def customers_without_orders(sf_dir: str):
             {"c_custkey": pc.unique(batch["o_custkey"].filter(mask))}
         )
 
-    with hash_shuffle():
-        orders = _tbl(sf_dir, "orders", columns=["o_custkey", "o_orderdate"])
-        have = orders.map_batches(recent_keys, batch_format="pyarrow")
-        cust = _strip_meta(
-            _tbl(sf_dir, "customer", columns=["c_custkey", "c_name", "c_mktsegment"])
-        )
-        return cust.join(
-            have,
-            join_type="left_anti",
-            num_partitions=8,
-            on=("c_custkey",),
-        )
+    orders = _tbl(sf_dir, "orders", columns=["o_custkey", "o_orderdate"])
+    have = orders.map_batches(recent_keys, batch_format="pyarrow")
+    cust = _tbl(sf_dir, "customer", columns=["c_custkey", "c_name", "c_mktsegment"])
+    return keyed_join(cust, have, "c_custkey", "left_anti")
 
 
 def suppliers_in_region(sf_dir: str, region: str = "ASIA"):
@@ -1743,42 +1725,17 @@ def doc_dedup_keep(sf_dir: str):
     """The actual corpus dedup: keep one representative per near-dup
     cluster (the component-min doc) plus every unclustered doc.
 
-    Scale shape: the drop list (non-representative cluster members) is
-    written as a parquet handoff (cluster output is a checkpointable
-    artifact), then removed from the corpus with a NATIVE left_anti
-    hash join — no driver-side key set, both sides streamed."""
-    import tempfile
-
-    from .stages.exchange import hash_shuffle
-    from .state.manifest import sweep_stale_handoffs
-
-    base = os.path.join(tempfile.gettempdir(), "graft_dedup_drops")
-    handoff = sweep_stale_handoffs(base)  # TTL sweep — never live siblings
+    Scale shape: the drop list (non-representative cluster members)
+    feeds a left_anti ``keyed_join`` against the corpus — no
+    driver-side key set, both sides streamed."""
+    from .stages.exchange import keyed_join
 
     def drops_only(df: pd.DataFrame) -> pd.DataFrame:
         return df.loc[df["cluster_rep"] < df["doc_id"], ["doc_id"]]
 
-    (
-        doc_dedup_clusters(sf_dir)
-        .map_batches(drops_only, batch_format="pandas")
-        .map_batches(
-            lambda t: t.replace_schema_metadata(None), batch_format="pyarrow"
-        )
-        .write_parquet(handoff)
-    )
-
-    if not any(f.endswith(".parquet") for f in os.listdir(handoff)):
-        return _tbl(sf_dir, "documents", columns=["doc_id"])  # nothing to drop
-
-    with hash_shuffle():
-        docs = _strip_meta(_tbl(sf_dir, "documents", columns=["doc_id"]))
-        drops = rd.read_parquet(handoff)
-        return docs.join(
-            drops,
-            join_type="left_anti",
-            num_partitions=8,
-            on=("doc_id",),
-        )
+    drops = doc_dedup_clusters(sf_dir).map_batches(drops_only, batch_format="pandas")
+    docs = _tbl(sf_dir, "documents", columns=["doc_id"])
+    return keyed_join(docs, drops, "doc_id", "left_anti")
 
 
 # PII scrub: the testdata corpus contains no PII-shaped strings, so the
@@ -2284,44 +2241,34 @@ def part_triangle_counts(sf_dir: str):
 
 
 def segment_year_revenue(sf_dir: str):
-    """Distributed SHUFFLE hash join (native Dataset.join) — the
-    non-broadcast path for when both sides are large: orders ⋈ customer
-    on custkey, then revenue per (mktsegment, order year)."""
-    from .stages.exchange import hash_shuffle
+    """Distributed SHUFFLE join (``keyed_join``) — the non-broadcast
+    path for when both sides are large: orders ⋈ customer on custkey,
+    then revenue per (mktsegment, order year)."""
+    from .stages.exchange import grouped_aggregate, keyed_join
 
-    with hash_shuffle():
-        orders = _strip_meta(
-            _tbl(sf_dir, "orders", columns=["o_custkey", "o_totalprice", "o_orderdate"])
+    orders = _tbl(sf_dir, "orders", columns=["o_custkey", "o_totalprice", "o_orderdate"])
+    cust = _tbl(sf_dir, "customer", columns=["c_custkey", "c_mktsegment"])
+    joined = keyed_join(orders, cust, "o_custkey", "inner", right_on="c_custkey")
+
+    def partial(df: pd.DataFrame) -> pd.DataFrame:
+        df = df.assign(
+            o_year=df["o_orderdate"].dt.year.astype("int64"),
+            cents=(df["o_totalprice"] * 100).round().astype("int64"),
         )
-        cust = _strip_meta(_tbl(sf_dir, "customer", columns=["c_custkey", "c_mktsegment"]))
-        joined = orders.join(
-            cust, join_type="inner", num_partitions=8,
-            on=("o_custkey",), right_on=("c_custkey",),
+        return (
+            df.groupby(["c_mktsegment", "o_year"], sort=False)
+            .agg(n_orders=("cents", "size"), revenue_cents=("cents", "sum"))
+            .reset_index()
         )
 
-        def partial(df: pd.DataFrame) -> pd.DataFrame:
-            df = df.assign(
-                o_year=df["o_orderdate"].dt.year.astype("int64"),
-                cents=(df["o_totalprice"] * 100).round().astype("int64"),
-            )
-            return (
-                df.groupby(["c_mktsegment", "o_year"], sort=False)
-                .agg(n_orders=("cents", "size"), revenue_cents=("cents", "sum"))
-                .reset_index()
-            )
+    def combine(df: pd.DataFrame) -> pd.DataFrame:
+        return (
+            df.groupby(["c_mktsegment", "o_year"], sort=False)
+            .agg(n_orders=("n_orders", "sum"), revenue_cents=("revenue_cents", "sum"))
+            .reset_index()
+        )
 
-        def combine(df: pd.DataFrame) -> pd.DataFrame:
-            return (
-                df.groupby(["c_mktsegment", "o_year"], sort=False)
-                .agg(n_orders=("n_orders", "sum"), revenue_cents=("revenue_cents", "sum"))
-                .reset_index()
-            )
-
-        # partial per join batch, final combine via repartition(1) +
-        # map (tiny key space) — NO groupby may run on a hash-rooted
-        # dataset (stages/exchange.py policy)
-        partials = joined.map_batches(partial, batch_format="pandas")
-        return partials.repartition(1).map_batches(combine, batch_format="pandas")
+    return grouped_aggregate(joined, ["c_mktsegment", "o_year"], partial, combine)
 
 
 BLOOM_SEGMENT = "BUILDING"
@@ -2342,7 +2289,7 @@ def building_year_revenue_bloom(sf_dir: str):
 
     from .kernels.bloom import bloom_build, bloom_merge, bloom_probe
     from .state.broadcast import resolve
-    from .stages.exchange import hash_shuffle
+    from .stages.exchange import grouped_aggregate, keyed_join
 
     seg = BLOOM_SEGMENT
 
@@ -2363,45 +2310,39 @@ def building_year_revenue_bloom(sf_dir: str):
     bloom = bloom_merge([np.frombuffer(b, dtype=np.uint8) for b in parts["bloom"]])
     bref = ray.put(bloom)
 
-    with hash_shuffle():
-        cust = _strip_meta(
-            _tbl(sf_dir, "customer", columns=["c_custkey", "c_mktsegment"])
-        ).map_batches(seg_keys, batch_format="pyarrow")
+    cust = _tbl(sf_dir, "customer", columns=["c_custkey", "c_mktsegment"]).map_batches(
+        seg_keys, batch_format="pyarrow"
+    )
 
-        def probe(batch: pa.Table) -> pa.Table:
-            bits = resolve(bref)
-            keep = bloom_probe(bits, batch["o_custkey"].to_pylist())
-            return batch.filter(pa.array(keep))
+    def probe(batch: pa.Table) -> pa.Table:
+        bits = resolve(bref)
+        keep = bloom_probe(bits, batch["o_custkey"].to_pylist())
+        return batch.filter(pa.array(keep))
 
-        orders = _strip_meta(
-            _tbl(sf_dir, "orders", columns=["o_custkey", "o_totalprice", "o_orderdate"])
-        ).map_batches(probe, batch_format="pyarrow")
+    orders = _tbl(
+        sf_dir, "orders", columns=["o_custkey", "o_totalprice", "o_orderdate"]
+    ).map_batches(probe, batch_format="pyarrow")
+    joined = keyed_join(orders, cust, "o_custkey", "inner", right_on="c_custkey")
 
-        joined = orders.join(
-            cust, join_type="inner", num_partitions=8,
-            on=("o_custkey",), right_on=("c_custkey",),
+    def partial(df: pd.DataFrame) -> pd.DataFrame:
+        df = df.assign(
+            o_year=df["o_orderdate"].dt.year.astype("int64"),
+            cents=(df["o_totalprice"] * 100).round().astype("int64"),
+        )
+        return (
+            df.groupby("o_year", sort=False)
+            .agg(n_orders=("cents", "size"), revenue_cents=("cents", "sum"))
+            .reset_index()
         )
 
-        def partial(df: pd.DataFrame) -> pd.DataFrame:
-            df = df.assign(
-                o_year=df["o_orderdate"].dt.year.astype("int64"),
-                cents=(df["o_totalprice"] * 100).round().astype("int64"),
-            )
-            return (
-                df.groupby("o_year", sort=False)
-                .agg(n_orders=("cents", "size"), revenue_cents=("cents", "sum"))
-                .reset_index()
-            )
+    def combine(df: pd.DataFrame) -> pd.DataFrame:
+        return (
+            df.groupby("o_year", sort=False)
+            .agg(n_orders=("n_orders", "sum"), revenue_cents=("revenue_cents", "sum"))
+            .reset_index()
+        )
 
-        def combine(df: pd.DataFrame) -> pd.DataFrame:
-            return (
-                df.groupby("o_year", sort=False)
-                .agg(n_orders=("n_orders", "sum"), revenue_cents=("revenue_cents", "sum"))
-                .reset_index()
-            )
-
-        partials = joined.map_batches(partial, batch_format="pandas")
-        return partials.repartition(1).map_batches(combine, batch_format="pandas")
+    return grouped_aggregate(joined, ["o_year"], partial, combine)
 
 
 def doc_dedup_simhash(sf_dir: str):
@@ -4224,12 +4165,10 @@ def user_day_purchase_click_outer(sf_dir: str):
     clicked — and vice versa — survive with zeroed other-side columns).
     One pruned read, side-tagged partials, ONE keyed exchange on the
     join key, per-partition pandas outer merge — the engine's
-    co-partition pattern for join types Ray Data's native path can't
-    keep zero-copy (the native full-outer alternative needs the
-    hash-shuffle context plus a parquet handoff between shuffle
-    regimes, see stages/dedup.py's join path; for an already-aggregated
-    bounded-per-key stream this single exchange is strictly less data
-    movement)."""
+    co-partition pattern ``stages/exchange.keyed_join`` uses for inner
+    and anti joins (for an already-aggregated bounded-per-key stream
+    this single exchange is strictly less data movement than joining
+    the raw streams)."""
     from .stages.exchange import keyed_exchange
 
     ds = rd.read_parquet(
@@ -5197,7 +5136,7 @@ def doc_collocations(sf_dir: str):
     wordcount exchange, corpus total N as a driver sum of block
     partials; unigram counts broadcast for the score join (fixture
     vocab is small — at 10⁸-word vocab replace the broadcast with two
-    Dataset.joins on w1/w2, same rows); per-partition partial top-K +
+    keyed_joins on w1/w2, same rows); per-partition partial top-K +
     driver merge. Output (bigram, c12, pmi_micro)."""
     from .stages.exchange import keyed_exchange
 
@@ -5339,48 +5278,23 @@ def emb_semantic_keep(sf_dir: str):
     near-dup pairs (emb_neardup_pairs) → connected components
     (stages/dedup.pairs_components, keyed-exchange min-label) → keep
     one representative (component-min vec_id) per semantic cluster
-    plus every unclustered vector. Same drop-handoff + NATIVE
-    left_anti shape as doc_dedup_keep — no driver-side key set, both
-    sides streamed; the oracle is the exact recursive-CTE transitive
+    plus every unclustered vector. Same drop-stream + left_anti
+    ``keyed_join`` shape as doc_dedup_keep — no driver-side key set,
+    both sides streamed; the oracle is the exact recursive-CTE transitive
     closure over the SQL-replicated pair rule."""
-    import tempfile
-
     from .stages.dedup import pairs_components
-    from .stages.exchange import hash_shuffle
-    from .state.manifest import sweep_stale_handoffs
-
-    base = os.path.join(tempfile.gettempdir(), "graft_semdedup_drops")
-    handoff = sweep_stale_handoffs(base)  # TTL sweep — never live siblings
+    from .stages.exchange import keyed_join
 
     clusters = pairs_components(
         emb_neardup_pairs(sf_dir), "vec_id_a", "vec_id_b", rounds=_CLUSTER_ROUNDS
     )
-    (
-        clusters.map_batches(
-            lambda df: df.loc[df["cluster_rep"] < df["node_id"], ["node_id"]]
-            .rename(columns={"node_id": "vec_id"}),
-            batch_format="pandas",
-        )
-        .map_batches(lambda t: t.replace_schema_metadata(None), batch_format="pyarrow")
-        .write_parquet(handoff)
+    drops = clusters.map_batches(
+        lambda df: df.loc[df["cluster_rep"] < df["node_id"], ["node_id"]]
+        .rename(columns={"node_id": "vec_id"}),
+        batch_format="pandas",
     )
-
-    vecs = _strip_meta(
-        rd.read_parquet(os.path.join(sf_dir, "embeddings.parquet"), columns=["vec_id"])
-    )
-    if not any(f.endswith(".parquet") for f in os.listdir(handoff)):
-        return vecs  # no semantic clusters at all
-
-    with hash_shuffle():
-        kept = _strip_meta(
-            rd.read_parquet(
-                os.path.join(sf_dir, "embeddings.parquet"), columns=["vec_id"]
-            )
-        )
-        drops = rd.read_parquet(handoff)
-        return kept.join(
-            drops, join_type="left_anti", num_partitions=8, on=("vec_id",)
-        )
+    vecs = _tbl(sf_dir, "embeddings", columns=["vec_id"])
+    return keyed_join(vecs, drops, "vec_id", "left_anti")
 
 
 # Training-row bin packing: fold the PACK_CHUNK-token chunk stream into

@@ -156,10 +156,9 @@ def minhash_pairs(docs_ds_factory, num_partitions: int = 8):
     (doc_id_a, doc_id_b, n_common, n_union), J ≥ 4/5, a < b.
 
     ``docs_ds_factory`` is a zero-arg callable building the documents
-    Dataset (the factory convention predates the exchange-based verify,
-    which needs no special DataContext; callers that still join under
-    ``hash_shuffle`` rely on construction-inside-scope, so the factory
-    stays)."""
+    Dataset; the join-verified detectors below scan it twice (band rows,
+    then candidate shingles), so every detector takes the same
+    factory."""
     from .exchange import keyed_exchange
 
     bands = docs_ds_factory().map_batches(_minhash_band_rows, batch_format="pyarrow")
@@ -260,59 +259,27 @@ def minhash_pairs_join(
     ``minhash_pairs`` carries each document's shingle array into all 8
     band rows (8× payload duplication through the bucket exchange);
     fine at moderate scale, wasteful at 100TB. Here the band exchange
-    moves only (doc_id, band_key) strings, candidate pairs are deduped,
-    and shingle sets are fetched for CANDIDATES ONLY via two
-    ``Dataset.join`` hash joins against the shingle table — total
-    shuffle volume is O(corpus signatures) + O(candidates × shingles)
-    instead of O(corpus shingles × bands). Results are identical
-    (tests + the same SQL oracle assert it)."""
-    from .exchange import hash_shuffle
-
-    import tempfile
-    import uuid
-
+    moves only (doc_id, band_key) strings, candidate pairs are deduped
+    and materialized, and shingle sets are fetched for CANDIDATES ONLY
+    (``_fetch_verify``) — total shuffle volume is O(corpus signatures)
+    + O(candidates × shingles) instead of O(corpus shingles × bands).
+    Results are identical (tests + the same SQL oracle assert it)."""
     from .exchange import keyed_exchange
 
-    # phase 1 (normal context): band exchange -> deduped candidate pairs.
-    # Joins require a HASH_SHUFFLE-rooted dataset but groupbys deadlock
-    # under that context, so the candidate stream crosses regimes through
-    # a parquet handoff (what a cluster run would do anyway: candidates
-    # are a checkpointable artifact).
     bands = docs_ds_factory().map_batches(
         _minhash_band_rows_lite, batch_format="pyarrow"
     )
-    cands_out = keyed_exchange(
+    cands = keyed_exchange(
         keyed_exchange(bands, ["band_key"], _bucket_pairs, num_partitions),
         ["doc_id_a", "doc_id_b"],
         _dedup_pairs,
         2,
-    )
-    import os
-
-    from ..state.manifest import sweep_stale_handoffs
-
-    # The handoff must outlive this function (the returned dataset reads
-    # it lazily), so it can't be deleted here. Bound the disk footprint
-    # instead: TTL-sweep prior invocations' handoffs at entry — never the
-    # whole base dir, which could hold a LIVE handoff of a pipeline built
-    # but not yet consumed (a cluster run would keep these as resumable
-    # checkpoints under the job's scratch dir and reap them with the job).
-    base = os.path.join(tempfile.gettempdir(), "graft_minhash_cands")
-    handoff = sweep_stale_handoffs(base)
-    # strip pandas schema metadata before the write: the hash-shuffle
-    # aggregators hash block schemas for dedup, and a schema whose
-    # metadata carries the pandas dict logs "Failed to hash the schemas"
-    # on every aggregator (benign but noisy)
-    cands_out.map_batches(
-        lambda t: t.replace_schema_metadata(None), batch_format="pyarrow"
-    ).write_parquet(handoff)
-
-    return _fetch_verify(handoff, docs_ds_factory, num_partitions,
-                         broadcast_id_limit)
+    ).materialize()
+    return _fetch_verify(cands, docs_ds_factory, num_partitions, broadcast_id_limit)
 
 
 def _fetch_verify(
-    handoff: str,
+    cands,
     docs_ds_factory,
     num_partitions: int,
     broadcast_id_limit: int,
@@ -321,32 +288,27 @@ def _fetch_verify(
 ):
     """Phase 2 shared by every candidate-pair self-join (MinHash bands,
     PPJoin prefixes): fetch shingle blobs for candidate docs only, then
-    exact integer Jaccard ≥ num/den. Two tiers on the handoff's footer
-    pair count: broadcast routing + single-exchange verify while the
-    pair list is driver-bounded (``_broadcast_verify``); distributed
-    hash SEMI-join id filter + two-exchange verify (``_join_verify``)
+    exact integer Jaccard ≥ num/den. ``cands`` is the materialized
+    (doc_id_a, doc_id_b) candidate stream. Two tiers on its pair count:
+    broadcast routing + single-exchange verify while the pair list is
+    driver-bounded (``_broadcast_verify``); a distributed SEMI-join id
+    filter (``keyed_join``) + two-exchange verify (``_join_verify``)
     past ``broadcast_id_limit``."""
-    from .exchange import hash_shuffle
+    import ray
+    import ray.data as rd
 
-    # Pair COUNT comes free from the handoff's parquet footers; it
+    from .exchange import keyed_exchange, keyed_join
+
+    # the pair count of a materialized Dataset is block metadata; it
     # drives both the join-partition sizing and the broadcast-vs-semi-
     # join decision (distinct candidate ids ≤ 2·pairs, so the count is
-    # a safe proxy without reading any column).
-    import pyarrow.parquet as _pq
-
-    n_pairs = sum(
-        _pq.ParquetFile(f).metadata.num_rows
-        for f in _list_parquet(handoff)
-    )
+    # a safe proxy without reading any column)
+    n_pairs = cands.count()
     # ~64k pair rows per partition keeps per-partition work meaningful;
     # never below 1, never above the configured ceiling.
     join_parts = max(1, min(num_partitions, (n_pairs + 65535) // 65536))
 
-    import ray
-    import ray.data as rd
-
     if n_pairs == 0:
-        # no candidate pairs: an empty stream writes no handoff files
         return rd.from_pandas(_PAIR_EMPTY.copy())
 
     if 2 * n_pairs <= broadcast_id_limit:
@@ -354,22 +316,17 @@ def _fetch_verify(
         # bounded by pairs, orders of magnitude below corpus size — is
         # ray.put once and each shingle task filters its batch locally,
         # so only candidate docs are ever shingled or shuffled.
-        cand_tbl = _pq.read_table(handoff, columns=["doc_id_a", "doc_id_b"])
+        cand_tbl = pa.concat_tables(ray.get(cands.to_arrow_refs()))
         return _broadcast_verify(cand_tbl, docs_ds_factory, join_parts, num, den)
 
     # SEMI-JOIN fallback (the SCALE.md promise): when the id set would
     # blow the broadcast budget (~10^8 ids = 800MB per worker), the
-    # candidate filter becomes a distributed hash SEMI-join instead of a
+    # candidate filter becomes a distributed SEMI-join instead of a
     # driver-held set — the ids never materialize in one process. The
-    # distinct-id table is derived with a doc_id-keyed exchange (normal
-    # context) into a handoff, then docs inner-join it (hash context)
-    # BEFORE shingling, so still only candidate docs are shingled; the
-    # price vs broadcast is one extra shuffle of the candidate docs'
-    # raw text.
-    from .exchange import keyed_exchange
-
-    ids_dir = handoff + "_ids"
-
+    # distinct ids come from a doc_id-keyed exchange, and docs
+    # inner-join them BEFORE shingling, so still only candidate docs
+    # are shingled; the price vs broadcast is one extra shuffle of the
+    # candidate docs' raw text.
     def _stack_ids(t: pa.Table) -> pa.Table:
         ids = np.concatenate(
             [
@@ -379,34 +336,16 @@ def _fetch_verify(
         )
         return pa.table({"doc_id": pa.array(np.unique(ids), pa.int64())})
 
-    keyed_exchange(
-        rd.read_parquet(handoff).map_batches(_stack_ids, batch_format="pyarrow"),
+    ids = keyed_exchange(
+        cands.map_batches(_stack_ids, batch_format="pyarrow"),
         ["doc_id"],
         lambda df: df.drop_duplicates(),
         max(2, join_parts),
-    ).map_batches(
-        lambda t: t.replace_schema_metadata(None), batch_format="pyarrow"
-    ).write_parquet(ids_dir)
-
-    # the SEMI-join itself still rides Ray's hash-join backend; its
-    # (candidate-bounded) shingle output crosses back to the normal
-    # context through a parquet handoff — datasets rooted under
-    # HASH_SHUFFLE must never feed the groupby-based exchange (the
-    # documented deadlock), and the handoff doubles as a resumable
-    # checkpoint exactly like the candidate-pair one.
-    sh_dir = handoff + "_sh"
-    with hash_shuffle():
-        ids_ds = rd.read_parquet(ids_dir)
-        docs = docs_ds_factory()
-        cand_docs = docs.join(
-            ids_ds, join_type="inner", num_partitions=max(2, join_parts),
-            on=("doc_id",),
-        )
-        cand_docs.map_batches(_shingle_table, batch_format="pyarrow").map_batches(
-            lambda t: t.replace_schema_metadata(None), batch_format="pyarrow"
-        ).write_parquet(sh_dir)
-    cands = rd.read_parquet(handoff)
-    sh = rd.read_parquet(sh_dir)
+    )
+    cand_docs = keyed_join(
+        docs_ds_factory(), ids, "doc_id", "inner", num_partitions=max(2, join_parts)
+    )
+    sh = cand_docs.map_batches(_shingle_table, batch_format="pyarrow")
     return _join_verify(cands, sh, join_parts, num, den)
 
 
@@ -442,16 +381,12 @@ def ppjoin_pairs(
     degrades ORDER QUALITY (a few hot shingles keep hash order), never
     correctness. Shape: df pass → prefix rows (hash, doc, size) →
     hash-keyed exchange emits candidate pairs with the integer length
-    filter (den·min ≥ num·max) → pair dedup → handoff → the SAME
+    filter (den·min ≥ num·max) → pair dedup → materialize → the SAME
     two-tier candidate fetch + exact-Jaccard verify as
     minhash_pairs_join (``_fetch_verify``). Output identical
     schema/semantics: (doc_id_a, doc_id_b, n_common, n_union), a < b."""
-    import os
-    import tempfile
-
     import ray
 
-    from ..state.manifest import sweep_stale_handoffs
     from .exchange import keyed_exchange
 
     # -- pass 0: bounded global df table for the repeated shingles --
@@ -549,20 +484,14 @@ def ppjoin_pairs(
         ).drop_duplicates()
 
     prefixes = docs_ds_factory().map_batches(prefix_rows, batch_format="pyarrow")
-    cands_out = keyed_exchange(
+    cands = keyed_exchange(
         keyed_exchange(prefixes, ["h"], posting_pairs, num_partitions),
         ["doc_id_a", "doc_id_b"],
         _dedup_pairs,
         2,
-    )
-    handoff = sweep_stale_handoffs(
-        os.path.join(tempfile.gettempdir(), "graft_ppjoin_cands")
-    )
-    cands_out.map_batches(
-        lambda t: t.replace_schema_metadata(None), batch_format="pyarrow"
-    ).write_parquet(handoff)
+    ).materialize()
     return _fetch_verify(
-        handoff, docs_ds_factory, num_partitions, broadcast_id_limit,
+        cands, docs_ds_factory, num_partitions, broadcast_id_limit,
         num=num, den=den,
     )
 
@@ -666,24 +595,21 @@ def _join_verify(cands, sh, num_partitions: int,
     """Attach packed shingle blobs to candidate pairs and keep pairs
     passing the exact integer Jaccard ≥ num/den.
 
-    Shape: two ``keyed_exchange`` passes instead of two Arrow hash
-    joins (the exchange is this engine's proven fast path; it also
-    frees the callers from the process-global ``hash_shuffle`` context
-    and its serialized construction window). Each pair row is shipped
-    to BOTH endpoints' doc-keyed partitions alongside the shingle rows
-    (side 0 = a-endpoint copy, side 1 = b-endpoint copy), so the
-    shingle stream is consumed exactly ONCE with no mid-pipeline
-    materialize; the second, pair-keyed exchange zips the two
-    half-pairs (each carrying one endpoint's blob) and verifies.
-    Shuffle volume: 2·|pairs| skinny rows + |candidate shingles| once,
-    then |pairs| rows carrying two blobs — same O() as the join
-    formulation, lower constant."""
+    Shape: an inner ``keyed_join`` and one ``keyed_exchange``. Each pair
+    row is stacked once per endpoint (side 0 = a-endpoint copy, side 1 =
+    b-endpoint copy, keyed ``k`` by that endpoint's doc id) and joined
+    to the (doc_id, shingles) stream, so every half-pair carries one
+    endpoint's blob; the pair-keyed exchange then zips the two halves
+    and verifies. Shuffle volume: 2·|pairs| skinny rows + |candidate
+    shingles| once, then |pairs| rows carrying two blobs."""
+    from .exchange import keyed_exchange, keyed_join
+
     parts = max(2, num_partitions)
 
-    def tag_pairs(t: pa.Table) -> pd.DataFrame:
+    def tag_pairs(t: pa.Table) -> pa.Table:
         a = t["doc_id_a"].to_numpy(zero_copy_only=False).astype(np.int64)
         b = t["doc_id_b"].to_numpy(zero_copy_only=False).astype(np.int64)
-        return pd.DataFrame(
+        return pa.table(
             {
                 "k": np.concatenate([a, b]),
                 "doc_id_a": np.concatenate([a, a]),
@@ -691,38 +617,8 @@ def _join_verify(cands, sh, num_partitions: int,
                 "side": np.concatenate(
                     [np.zeros(len(a), np.int64), np.ones(len(b), np.int64)]
                 ),
-                "blob": [None] * (2 * len(a)),
             }
         )
-
-    def tag_shingles(t: pa.Table) -> pd.DataFrame:
-        n = t.num_rows
-        return pd.DataFrame(
-            {
-                "k": t["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64),
-                "doc_id_a": np.full(n, -1, np.int64),
-                "doc_id_b": np.full(n, -1, np.int64),
-                "side": np.full(n, -1, np.int64),
-                "blob": t["shingles"].to_pylist(),
-            }
-        )
-
-    def attach(df: pd.DataFrame) -> pd.DataFrame:
-        is_sh = df["side"] == -1
-        pr = df[~is_sh]
-        if not len(pr):
-            return pd.DataFrame(
-                {
-                    "doc_id_a": pd.Series(dtype="int64"),
-                    "doc_id_b": pd.Series(dtype="int64"),
-                    "side": pd.Series(dtype="int64"),
-                    "blob": pd.Series(dtype="object"),
-                }
-            )
-        m = pr.drop(columns=["blob"]).merge(
-            df.loc[is_sh, ["k", "blob"]], on="k", how="inner"
-        )
-        return m[["doc_id_a", "doc_id_b", "side", "blob"]]
 
     def zip_verify(df: pd.DataFrame) -> pd.DataFrame:
         a_side = df[df["side"] == 0]
@@ -741,7 +637,7 @@ def _join_verify(cands, sh, num_partitions: int,
             return v
 
         for a, b, sa, sb in zip(
-            m["doc_id_a"], m["doc_id_b"], m["blob_a"], m["blob_b"]
+            m["doc_id_a"], m["doc_id_b"], m["shingles_a"], m["shingles_b"]
         ):
             xa = arr(sa)
             xb = arr(sb)
@@ -755,12 +651,10 @@ def _join_verify(cands, sh, num_partitions: int,
             out, columns=["doc_id_a", "doc_id_b", "n_common", "n_union"]
         ).astype("int64")
 
-    from .exchange import keyed_exchange
-
-    tagged = cands.map_batches(tag_pairs, batch_format="pyarrow").union(
-        sh.map_batches(tag_shingles, batch_format="pyarrow")
+    halves = keyed_join(
+        cands.map_batches(tag_pairs, batch_format="pyarrow"), sh, "k", "inner",
+        right_on="doc_id", num_partitions=parts,
     )
-    halves = keyed_exchange(tagged, ["k"], attach, parts)
     return keyed_exchange(halves, ["doc_id_a", "doc_id_b"], zip_verify, parts)
 
 
@@ -990,8 +884,8 @@ def build_minhash_index(docs_ds_factory, index_dir: str) -> dict:
         # function of the bucket) -> exactly one file per bucket
         keyed_exchange(band_rows, ["band_bucket"], lambda df: df,
                        INDEX_BAND_BUCKETS)
-        # strip pandas schema metadata: hash-shuffle aggregators can't
-        # hash dict-bearing schemas and log noise on every block
+        # strip pandas schema metadata: Ray Data cannot hash a schema
+        # that carries it and logs a warning for every read of the files
         .map_batches(lambda t: t.replace_schema_metadata(None), batch_format="pyarrow")
         .write_parquet(bands_dir, partition_cols=["band_bucket"])
     )

@@ -43,18 +43,13 @@ sites derive it from their input tables' parquet footprint via
 ``partitions_for`` (floor 8 at test scale, growing ~linearly with
 bytes at corpus scale) instead of hard-coding a constant.
 
-``hash_shuffle`` remains for the operators that genuinely need Ray's
-hash-shuffle backend (``Dataset.join``), with the aggregator pool
-bounded; it must wrap JOINS ONLY (see its docstring).
+Joins run on the same exchange: ``keyed_join`` co-locates both sides'
+rows by the join key and joins each partition in one call, so the
+engine has one shuffle mechanism. No operator flips Ray's
+``DataContext`` shuffle strategy or needs its hash-aggregator actors.
 """
 
 from __future__ import annotations
-
-import threading
-from contextlib import contextmanager
-
-from ray.data import DataContext
-from ray.data.context import ShuffleStrategy
 
 PID_COL = "_pid"
 
@@ -284,6 +279,117 @@ def grouped_aggregate(ds, keys, partial_fn, combine_fn, num_partitions: int | No
     return keyed_exchange(partials, keys, combine_fn, num_partitions)
 
 
+# keyed_join hashes each side's rows into this many buckets per exchange
+# partition; the exchange hashes the bucket ids again, and a handful of
+# buckets per partition keeps the partitions even
+_JOIN_BUCKETS = 4
+
+
+def _hash_type(t):
+    """The one dtype a join key of Arrow type ``t`` is hashed under:
+    every number as float64, so numeric keys that are equal after
+    ``keyed_join``'s cast hash alike (pandas hashes int32 -1 and int64
+    -1 apart, and int and float never alike); any other type as
+    itself. Two keys that collide as float64 are only co-located, never
+    matched."""
+    import pyarrow as pa
+
+    if pa.types.is_integer(t) or pa.types.is_floating(t):
+        return pa.float64()
+    return t
+
+
+def _ipc(table) -> bytes:
+    import pyarrow as pa
+
+    sink = pa.BufferOutputStream()
+    with pa.ipc.new_stream(sink, table.schema) as w:
+        w.write_table(table)
+    return sink.getvalue().to_pybytes()
+
+
+def keyed_join(left, right, on: str, how: str, right_on: str | None = None,
+               num_partitions: int | None = None):
+    """Equi-join of two Datasets on one key column, in ONE
+    ``keyed_exchange``.
+
+    ``how`` is ``"inner"`` (the left columns, then the right side's
+    columns other than ``right_on``) or ``"left_anti"`` (the left rows
+    whose key matches no right key). Each side's batch is cut into
+    key-hash buckets and every bucket travels as one row: (bucket, side
+    marker, the bucket's rows as an Arrow IPC blob), so both sides share
+    that schema and every column keeps its exact Arrow type through the
+    exchange. Each partition joins its complete buckets with Arrow: a
+    hash join for ``inner``, an ``is_in`` mask for ``left_anti``.
+
+    Keys are hashed under one dtype (``_hash_type``), and in a
+    partition the right key is cast to the left key's type; a key
+    hashed under another dtype, or one that does not fit that type,
+    raises. A null key never matches, as in SQL: ``inner`` drops it and
+    ``left_anti`` keeps the left row. The result's rows come in no
+    particular order, and if it has none it is an empty Dataset
+    (``keyed_exchange``)."""
+    import numpy as np
+    import pandas as pd
+    import pyarrow as pa
+    import pyarrow.compute as pc
+
+    if how not in ("inner", "left_anti"):
+        raise ValueError(f"keyed_join: how must be 'inner' or 'left_anti', not {how!r}")
+    right_on = right_on or on
+    n_buckets = (num_partitions or DEFAULT_PARTITIONS) * _JOIN_BUCKETS
+
+    def tag(side: int, key: str):
+        def fn(t: "pa.Table") -> "pa.Table":
+            if side and how == "left_anti":
+                t = t.select([key])
+            t = t.replace_schema_metadata(None)
+            k = t[key].cast(_hash_type(t.schema.field(key).type), safe=False)
+            h = pd.util.hash_pandas_object(k.to_pandas(), index=False).to_numpy()
+            bucket = (h % n_buckets).astype(np.int64)
+            order = np.argsort(bucket, kind="stable")
+            bucket, t = bucket[order], t.take(order)
+            starts = np.flatnonzero(np.diff(bucket, prepend=-1))
+            ends = np.r_[starts[1:], len(t)]
+            return pa.table({
+                "_bucket": pa.array(bucket[starts], pa.int64()),
+                "_side": pa.array(np.full(len(starts), side, np.int8)),
+                "_rows": pa.array(
+                    [_ipc(t.slice(s, e - s)) for s, e in zip(starts, ends)], pa.binary()
+                ),
+            })
+
+        return fn
+
+    def side_rows(df: "pd.DataFrame", side: int):
+        blobs = df.loc[df["_side"] == side, "_rows"]
+        if not len(blobs):
+            return None
+        return pa.concat_tables(
+            [pa.ipc.open_stream(b).read_all() for b in blobs],
+            promote_options="permissive",
+        )
+
+    def join(df: "pd.DataFrame"):
+        lt, rt = side_rows(df, 0), side_rows(df, 1)
+        if lt is None or rt is None:
+            return None if how == "inner" else lt
+        kt, rkt = lt.schema.field(on).type, rt.schema.field(right_on).type
+        if _hash_type(kt) != _hash_type(rkt):
+            raise TypeError(f"keyed_join: cannot join a {kt} key to a {rkt} key")
+        rk = rt[right_on].cast(kt)  # safe: raises on a key the type cannot hold
+        if how == "left_anti":
+            hit = pc.is_in(lt[on], value_set=rk.combine_chunks(), skip_nulls=True)
+            return lt.filter(pc.invert(hit))
+        rt = rt.set_column(rt.schema.get_field_index(right_on), right_on, rk)
+        return lt.join(rt, on, right_on, "inner", use_threads=False)
+
+    tagged = left.map_batches(tag(0, on), batch_format="pyarrow").union(
+        right.map_batches(tag(1, right_on), batch_format="pyarrow")
+    )
+    return keyed_exchange(tagged, ["_bucket"], join, num_partitions, label=f"join[{on}]")
+
+
 def _write_file(table, path: str) -> None:
     """The one file write of ``_partition_writer``."""
     import pyarrow.parquet as pq
@@ -369,41 +475,3 @@ def hive_partitioned_write(ds, col: str, fn, out_dir: str, name: str,
     Returns a (shard, ``col``, rows) summary DataFrame."""
     emit = _partition_writer(out_dir, name, sort_keys, partition_col=col)
     return _exchange(ds, [col], fn, num_partitions, None, emit).to_pandas()
-
-
-# The DataContext flip is process-global; dataset CONSTRUCTION windows
-# from concurrent pipeline threads must not interleave (execution is
-# safe — each dataset captures its context at root creation).
-_FLIP_LOCK = threading.RLock()
-
-
-@contextmanager
-def hash_shuffle(num_aggregators: int = 8):
-    """Build datasets needing Ray's hash-shuffle backend (Dataset.join,
-    repartition(keys=...)) inside this scope.
-
-    JOINS ONLY: never build a groupby/map_groups/aggregate under this
-    context — the hash-aggregate actor path deadlocks in small/busy
-    sessions (observed: groupby(_pid).map_groups hangs under HASH).
-    ``keyed_exchange`` needs no special context.
-
-    Thread-safe: a process-wide lock serializes the construction windows
-    so one thread's flip can't leak into another thread's dataset roots.
-    """
-    with _FLIP_LOCK:
-        with _hash_shuffle_unlocked(num_aggregators) as ctx:
-            yield ctx
-
-
-@contextmanager
-def _hash_shuffle_unlocked(num_aggregators: int = 8):
-    ctx = DataContext.get_current()
-    old_strategy = ctx.shuffle_strategy
-    old_max = ctx.max_hash_shuffle_aggregators
-    ctx.shuffle_strategy = ShuffleStrategy.HASH_SHUFFLE
-    ctx.max_hash_shuffle_aggregators = num_aggregators
-    try:
-        yield ctx
-    finally:
-        ctx.shuffle_strategy = old_strategy
-        ctx.max_hash_shuffle_aggregators = old_max

@@ -17,9 +17,11 @@ stream, its keys and its combine) and two ways to run it: the
 pipeline hands the same plan to ``sharded_sorted_write``, which
 combines and writes the sorted shard files in the same exchange.
 
-The plans take a zero-arg Dataset factory: the read must be created
-inside the ``hash_shuffle`` scope (a Dataset captures its DataContext at
-root creation).
+The plans take a zero-arg Dataset factory, called once per plan, so
+each build gets its own fresh input plan. No exchange needs its input
+built in a special DataContext any more; the convention stays because
+callers (the KG pipeline, the queries and the benchmark's workloads)
+pass factories.
 """
 
 from __future__ import annotations

@@ -182,9 +182,12 @@ def test_source_overlap_matrix_consistent(ray_session):
     assert (got["source_a"] <= got["source_b"]).all()
 
 
-def test_ppjoin_matches_brute_force(ray_session, tmp_path):
+@pytest.mark.parametrize("broadcast_id_limit", [None, 0], ids=["query", "semijoin"])
+def test_ppjoin_matches_brute_force(ray_session, tmp_path, broadcast_id_limit):
     """Prefix-filter join == exact all-pairs Jaccard >= 3/5 on a planted
-    corpus with near-dup pairs, exact dups, and unrelated docs."""
+    corpus with near-dup pairs, exact dups, and unrelated docs: through
+    the query (broadcast candidate filter) and through ppjoin_pairs with
+    broadcast_id_limit=0 (the semi-join candidate filter)."""
     import os
 
     import pyarrow as pa
@@ -194,6 +197,7 @@ def test_ppjoin_matches_brute_force(ray_session, tmp_path):
     from biomedical_ner_ray.stages.dedup import (
         JACCARD_BLOCK_DEN,
         JACCARD_BLOCK_NUM,
+        ppjoin_pairs,
         shingle_hashes,
     )
 
@@ -215,11 +219,16 @@ def test_ppjoin_matches_brute_force(ray_session, tmp_path):
         ),
         os.path.join(tmp_path, "documents.parquet"),
     )
-    got = (
-        Q.doc_dedup_ppjoin(str(tmp_path))
-        .to_pandas()
-        .sort_values(["doc_id_a", "doc_id_b"], ignore_index=True)
-    )
+    if broadcast_id_limit is None:
+        pairs = Q.doc_dedup_ppjoin(str(tmp_path))
+    else:
+        pairs = ppjoin_pairs(
+            lambda: rd.read_parquet(os.path.join(tmp_path, "documents.parquet")),
+            num=JACCARD_BLOCK_NUM,
+            den=JACCARD_BLOCK_DEN,
+            broadcast_id_limit=broadcast_id_limit,
+        )
+    got = pairs.to_pandas().sort_values(["doc_id_a", "doc_id_b"], ignore_index=True)
     sets = {i: set(shingle_hashes(t).tolist()) for i, t in texts.items()}
     exp = []
     ids = sorted(texts)
@@ -255,7 +264,6 @@ def test_ppjoin_hot_demotion_shrinks_candidates(ray_session, tmp_path, monkeypat
     prefix: candidate-pair volume with demotion is a small fraction of
     pure hash order, and verified output is IDENTICAL (any total order
     preserves the prefix guarantee)."""
-    import glob
     import os
 
     import pyarrow as pa
@@ -284,20 +292,23 @@ def test_ppjoin_hot_demotion_shrinks_candidates(ray_session, tmp_path, monkeypat
         os.path.join(tmp_path, "documents.parquet"),
     )
 
+    # count the candidate stream ppjoin_pairs hands to the verify phase
+    counts = []
+    fetch_verify = dd._fetch_verify
+
+    def counting_fetch_verify(cands, *args, **kwargs):
+        counts.append(cands.count())
+        return fetch_verify(cands, *args, **kwargs)
+
+    monkeypatch.setattr(dd, "_fetch_verify", counting_fetch_verify)
+
     def run():
         got = (
             Q.doc_dedup_ppjoin(str(tmp_path))
             .to_pandas()
             .sort_values(["doc_id_a", "doc_id_b"], ignore_index=True)
         )
-        hand = max(
-            glob.glob("/tmp/graft_ppjoin_cands/*/"), key=os.path.getmtime
-        )
-        n_cands = sum(
-            pq.ParquetFile(f).metadata.num_rows
-            for f in glob.glob(os.path.join(hand, "*.parquet"))
-        )
-        return got, n_cands
+        return got, counts[-1]
 
     got_demoted, cands_demoted = run()
     monkeypatch.setattr(dd, "HOT_DF_MIN", 10**9)  # pure hash order
