@@ -421,7 +421,7 @@ def _ingest_delta_locked(
     # membership filter (the delta is the bounded side by construction).
     new_ids = np.unique(_column(delta_all, "doc_id"))
     drops: set = set()
-    if len(pairs):  # a delta with no candidate pairs yields no columns
+    if len(pairs):  # Ray's to_pandas() of a 0-row Dataset has no columns
         a = pairs["doc_id_a"].to_numpy(dtype=np.int64)
         b = pairs["doc_id_b"].to_numpy(dtype=np.int64)
         an, bn = np.isin(a, new_ids), np.isin(b, new_ids)

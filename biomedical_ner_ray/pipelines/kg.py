@@ -247,7 +247,6 @@ def run_kg_pipeline(
 
         # -- stages 3-6: two chains, run sequentially --
         #    mentions → nodes ; triples → edges
-        # (concurrent chain execution regressed 10× — see BASELINE.md)
         mentions_dir = os.path.join(out_root, "mentions")
         triples_dir = os.path.join(out_root, "triples")
         nodes_dir = os.path.join(out_root, "nodes")
@@ -315,9 +314,12 @@ def run_kg_pipeline(
             )
             return t, e
 
-        # chains run sequentially: concurrent hash-shuffle executions contend
-        # for aggregator actors amid the annotate worker pool and regress 10×
-        # (measured 1.7s+3.9s sequential vs 49s+52s concurrent at 32 CPUs)
+        # chains run sequentially. History: when the exchanges ran on Ray's
+        # hash shuffle, running the chains concurrently regressed 10×
+        # (1.7s+3.9s sequential vs 49s+52s concurrent at 32 CPUs; BASELINE.md
+        # blames aggregator-actor contention). Hash shuffle is gone from the
+        # engine and concurrency has not been re-measured since, so the
+        # measured order stays.
         results["mentions"], results["nodes"] = mentions_chain()
         results["triples"], results["edges"] = triples_chain()
 

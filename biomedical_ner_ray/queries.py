@@ -1480,10 +1480,13 @@ def suppliers_in_region(sf_dir: str, region: str = "ASIA"):
 
 def doc_dedup_minhash(sf_dir: str):
     """MinHash+LSH near-dup pairs (shingle → 32-perm sig → 8-band bucket
-    exchange → exact-Jaccard ≥ 4/5 verify → pair dedup)."""
-    from .stages.dedup import minhash_pairs
+    exchange → pair dedup → exact-Jaccard ≥ 4/5 verify), by
+    stages/dedup.incremental_minhash_pairs with no index."""
+    from .stages.dedup import incremental_minhash_pairs
 
-    return minhash_pairs(lambda: _tbl(sf_dir, "documents", columns=["doc_id", "text"]))
+    return incremental_minhash_pairs(
+        lambda: _tbl(sf_dir, "documents", columns=["doc_id", "text"]), None
+    )
 
 
 def doc_decontaminate_fuzzy(sf_dir: str):
@@ -1496,10 +1499,10 @@ def doc_decontaminate_fuzzy(sf_dir: str):
     doc_dedup_minhash (no all-pairs, no broadcast); the side filter is
     a row-local md5 coin applied to the verified pairs."""
     from .kernels.hashing import stable_u64_md5
-    from .stages.dedup import minhash_pairs
+    from .stages.dedup import incremental_minhash_pairs
 
-    pairs = minhash_pairs(
-        lambda: _tbl(sf_dir, "documents", columns=["doc_id", "text"])
+    pairs = incremental_minhash_pairs(
+        lambda: _tbl(sf_dir, "documents", columns=["doc_id", "text"]), None
     )
 
     def cross_split(df: pd.DataFrame) -> pd.DataFrame:
@@ -1563,19 +1566,18 @@ def doc_source_overlap(sf_dir: str):
     one side down-weighted). Sources attach via a broadcast doc→source
     lookup (the documents table's bounded source domain); the pair
     graph itself is the proven banded exchange — nothing new shuffles."""
-    from .stages.dedup import minhash_pairs
+    from .stages.dedup import incremental_minhash_pairs
     from .stages.exchange import keyed_exchange
 
-    pairs = minhash_pairs(
-        lambda: _tbl(sf_dir, "documents", columns=["doc_id", "text"])
+    pairs = incremental_minhash_pairs(
+        lambda: _tbl(sf_dir, "documents", columns=["doc_id", "text"]), None
     ).materialize()  # consumed twice: id harvest + labeling
 
-    # the doc→source lookup covers CANDIDATE ids only — bounded by
-    # 2·pairs (the minhash broadcast-tier bound), never the corpus;
-    # the rows come back via a pushed-down doc_id filter, so the
-    # corpus-wide documents table is not re-scanned on the driver.
-    # Past the broadcast budget this becomes two hash joins against
-    # documents, exactly the _fetch_verify tier split.
+    # the doc→source lookup covers the verified pairs' ids only, never
+    # the corpus; the rows come back via a pushed-down doc_id filter, so
+    # the documents table is not re-scanned on the driver. Bound: the
+    # ≤ 2·pairs ids and their sources always reach the driver — there
+    # is no distributed tier here, so driver memory is O(verified pairs).
     cand_ids = np.unique(
         np.concatenate(
             [
@@ -1626,13 +1628,13 @@ def doc_source_overlap(sf_dir: str):
 
 
 def doc_dedup_minhash_join(sf_dir: str):
-    """Scale-path MinHash+LSH: signature-only band exchange + join-based
-    candidate verification (stages/dedup.minhash_pairs_join) — identical
-    result to doc_dedup_minhash, O(bands×shingles) less shuffle."""
-    from .stages.dedup import minhash_pairs_join
+    """The rows of doc_dedup_minhash, by the same detector
+    (stages/dedup.incremental_minhash_pairs with no index); the name
+    stays in the query set, with its SQL oracle."""
+    from .stages.dedup import incremental_minhash_pairs
 
-    return minhash_pairs_join(
-        lambda: _tbl(sf_dir, "documents", columns=["doc_id", "text"])
+    return incremental_minhash_pairs(
+        lambda: _tbl(sf_dir, "documents", columns=["doc_id", "text"]), None
     )
 
 
@@ -1656,37 +1658,34 @@ def _docs_split_factory(sf_dir: str, new: bool):
 
 
 def _ensure_minhash_index(sf_dir: str) -> dict:
-    """Build (once, atomically, cached per documents.parquet identity)
-    the persisted LSH index over the base split — the standing-corpus
-    artifact an ingest-time dedup runs against."""
-    import hashlib
-    import shutil
+    """Build (once, by ``run_stage``) the persisted LSH index over the
+    base split — the standing-corpus artifact an ingest-time dedup runs
+    against. Fingerprint: documents.parquet's path, size and
+    ``mtime_ns`` and the index layout, so a same-size rewrite of the
+    file or a layout change rebuilds it."""
     import tempfile
-    import uuid
 
-    from .stages.dedup import build_minhash_index
+    from .stages.dedup import INDEX_LAYOUT_VERSION, build_minhash_index
+    from .state import manifest as mf
 
-    doc_path = os.path.join(sf_dir, "documents.parquet")
+    doc_path = os.path.abspath(os.path.join(sf_dir, "documents.parquet"))
     st = os.stat(doc_path)
-    key = hashlib.md5(
-        f"incr-v3:{os.path.abspath(doc_path)}:{st.st_size}:{st.st_mtime_ns}".encode()
-    ).hexdigest()[:16]
-    index_dir = os.path.join(tempfile.gettempdir(), "graft_minhash_index", key)
-    if os.path.isdir(index_dir):
-        return {
-            "bands": os.path.join(index_dir, "bands"),
-            "shingles": os.path.join(index_dir, "shingles"),
-        }
-    tmp = index_dir + ".tmp-" + uuid.uuid4().hex
-    build_minhash_index(_docs_split_factory(sf_dir, new=False), tmp)
-    os.makedirs(os.path.dirname(index_dir), exist_ok=True)
-    try:
-        os.rename(tmp, index_dir)
-    except OSError:  # lost a race to a concurrent builder — theirs wins
-        shutil.rmtree(tmp, ignore_errors=True)
+    fp = mf.fingerprint(
+        "incr-v3", INDEX_LAYOUT_VERSION, doc_path, st.st_size, st.st_mtime_ns
+    )
+    out = os.path.join(
+        tempfile.gettempdir(),
+        "graft_query_cache",
+        os.path.basename(os.path.normpath(sf_dir)),
+        "minhash_index",
+    )
+    mf.run_stage(
+        "minhash-index", out, fp,
+        lambda tmp: build_minhash_index(_docs_split_factory(sf_dir, new=False), tmp),
+    )
     return {
-        "bands": os.path.join(index_dir, "bands"),
-        "shingles": os.path.join(index_dir, "shingles"),
+        "bands": os.path.join(out, "bands"),
+        "shingles": os.path.join(out, "shingles"),
     }
 
 
@@ -10527,9 +10526,10 @@ def doc_dedup_eval(
     from .stages.dedup import (
         JACCARD_DEN,
         JACCARD_NUM,
-        _bucket_pairs,
-        _dedup_pairs,
-        _minhash_band_rows_lite,
+        _band_rows_from_shingles,
+        _flag,
+        _flagged_bucket_pairs,
+        _shingle_table,
         shingle_hashes,
     )
     from .stages.exchange import keyed_exchange
@@ -10552,9 +10552,16 @@ def doc_dedup_eval(
 
         return ds.map_batches(shard, batch_format="pandas")
 
-    bands = docs().map_batches(_minhash_band_rows_lite, batch_format="pyarrow")
-    cand_raw = keyed_exchange(bands, ["band_key"], _bucket_pairs, P)
-    cands = keyed_exchange(cand_raw, ["doc_id_a", "doc_id_b"], _dedup_pairs, 2)
+    # the candidate phase of stages/dedup.incremental_minhash_pairs: band
+    # rows (every doc new) → band-key exchange; a pair colliding in
+    # several bands arrives once per band, so ``confuse`` dedups it
+    bands = (
+        docs()
+        .map_batches(_shingle_table, batch_format="pyarrow")
+        .map_batches(_band_rows_from_shingles, batch_format="pyarrow")
+        .map_batches(_flag(1), batch_format="pyarrow")
+    )
+    cands = keyed_exchange(bands, ["band_key"], _flagged_bucket_pairs, P)
 
     def postings(batch: pa.Table) -> pd.DataFrame:
         ids, hs, tots = [], [], []
@@ -10612,6 +10619,7 @@ def doc_dedup_eval(
     )
 
     def confuse(df: pd.DataFrame) -> pd.DataFrame:
+        df = df.drop_duplicates()
         g = df.groupby(["doc_id_a", "doc_id_b"])["side"].agg(["min", "count"])
         tp = int((g["count"] == 2).sum())
         fp = int(((g["count"] == 1) & (g["min"] == 0)).sum())

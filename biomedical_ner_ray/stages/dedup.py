@@ -4,14 +4,20 @@ Four detectors, each the Ray-Data shape a 100TB training-data pipeline
 needs (SURVEY.md §2.7 extends the reference's exact-dedup shape;
 MinHash/LSH per Broder '97 / SlimPajama-style two-stage dedup):
 
-- MinHash + LSH  (``minhash_pairs``): shingle → 32-perm MinHash →
-  8-band LSH bucket exchange → exact-Jaccard verify inside buckets →
-  pair dedup. Only band rows shuffle; raw text never does.
+- MinHash + LSH (``incremental_minhash_pairs``, the one MinHash pair
+  detector): packed shingle blob → 32-perm MinHash → 8 band rows → ONE
+  band-key exchange whose combine is a vectorized self-merge
+  (``_flagged_bucket_pairs``) → exact-Jaccard verify of the candidate
+  pairs only. Given a persisted index (``build_minhash_index``) it
+  dedups a new batch against the standing corpus; with ``index=None``
+  it is the batch detector. Only band rows shuffle; raw text never does.
 - SimHash       (``simhash_pairs``): 64-bit SimHash → 4×16-bit chunk
   bucket exchange (pigeonhole: hamming ≤ 3 ⇒ some chunk equal) →
   hamming verify.
 - Blocked exact n-gram Jaccard (``jaccard_pairs``): all pairs WITHIN a
-  blocking key (here ``source``) — the exact-but-blocked baseline.
+  blocking key (here ``source``) — the exact-but-blocked baseline; its
+  scale-correct replacement is the PPJoin prefix filter
+  (``ppjoin_pairs``).
 - Embedding cosine (``embedding_pairs``, in queries.py): blocked
   matmul against a broadcast normalized matrix.
 
@@ -110,75 +116,8 @@ def band_key(sig: np.ndarray, band: int) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _minhash_band_rows(batch: pa.Table) -> pd.DataFrame:
-    doc_ids, keys, shs = [], [], []
-    cache: dict = {}
-    for doc_id, text in zip(batch["doc_id"].to_pylist(), batch["text"].to_pylist()):
-        hv = shingle_hashes(text, cache=cache)
-        sig = minhash_signature(hv)
-        # reinterpret u64 bits as int64 so the list column fits Arrow's
-        # signed types; jaccard is a set op, representation-agnostic
-        hv_list = hv.view(np.int64).tolist()
-        for band in range(NUM_BANDS):
-            doc_ids.append(doc_id)
-            keys.append(band_key(sig, band))
-            shs.append(hv_list)
-    return pd.DataFrame({"doc_id": doc_ids, "band_key": keys, "shingles": shs})
-
-
-def _verify_minhash_buckets(df: pd.DataFrame) -> pd.DataFrame:
-    out = []
-    for _, g in df.groupby("band_key", sort=False):
-        if len(g) < 2:
-            continue
-        g = g.sort_values("doc_id")
-        ids = g["doc_id"].to_numpy()
-        sets = [set(s) for s in g["shingles"]]
-        for i in range(len(ids)):
-            for j in range(i + 1, len(ids)):
-                if ids[i] == ids[j]:
-                    continue
-                inter = len(sets[i] & sets[j])
-                union = len(sets[i]) + len(sets[j]) - inter
-                if union and JACCARD_DEN * inter >= JACCARD_NUM * union:
-                    out.append((ids[i], ids[j], inter, union))
-    return pd.DataFrame(
-        out, columns=["doc_id_a", "doc_id_b", "n_common", "n_union"]
-    ).astype({"doc_id_a": "int64", "doc_id_b": "int64", "n_common": "int64", "n_union": "int64"})
-
-
 def _dedup_pairs(df: pd.DataFrame) -> pd.DataFrame:
     return df.drop_duplicates(subset=["doc_id_a", "doc_id_b"])
-
-
-def minhash_pairs(docs_ds_factory, num_partitions: int = 8):
-    """documents(doc_id, text) → near-dup pairs
-    (doc_id_a, doc_id_b, n_common, n_union), J ≥ 4/5, a < b.
-
-    ``docs_ds_factory`` is a zero-arg callable building the documents
-    Dataset; the join-verified detectors below scan it twice (band rows,
-    then candidate shingles), so every detector takes the same
-    factory."""
-    from .exchange import keyed_exchange
-
-    bands = docs_ds_factory().map_batches(_minhash_band_rows, batch_format="pyarrow")
-    cands = keyed_exchange(
-        bands, ["band_key"], _verify_minhash_buckets, num_partitions
-    )
-    return keyed_exchange(cands, ["doc_id_a", "doc_id_b"], _dedup_pairs, 2)
-
-
-def _minhash_band_rows_lite(batch: pa.Table) -> pd.DataFrame:
-    """Band rows WITHOUT the shingle payload (scale path): only
-    (doc_id, band_key) strings shuffle in the bucket exchange."""
-    doc_ids, keys = [], []
-    cache: dict = {}
-    for doc_id, text in zip(batch["doc_id"].to_pylist(), batch["text"].to_pylist()):
-        sig = minhash_signature(shingle_hashes(text, cache=cache))
-        for band in range(NUM_BANDS):
-            doc_ids.append(doc_id)
-            keys.append(band_key(sig, band))
-    return pd.DataFrame({"doc_id": doc_ids, "band_key": keys})
 
 
 def _band_rows_from_shingles(batch: pa.Table) -> pd.DataFrame:
@@ -210,20 +149,8 @@ def _shingle_table(batch: pa.Table) -> pa.Table:
     )
 
 
-def _bucket_pairs(df: pd.DataFrame) -> pd.DataFrame:
-    out = []
-    for _, g in df.groupby("band_key", sort=False):
-        if len(g) < 2:
-            continue
-        ids = sorted(set(g["doc_id"]))
-        for i in range(len(ids)):
-            for j in range(i + 1, len(ids)):
-                out.append((ids[i], ids[j]))
-    return pd.DataFrame(out, columns=["doc_id_a", "doc_id_b"]).astype("int64")
-
-
 # broadcast the candidate id set only while 2·pairs stays under this;
-# beyond it the semi-join fallback path runs (see minhash_pairs_join)
+# beyond it the semi-join tier runs (``_semijoin_verify``)
 BROADCAST_ID_LIMIT = 50_000_000
 
 # PPJoin demotion threshold: every REPEATED shingle (df ≥ 2) sorts
@@ -249,33 +176,9 @@ def _list_parquet(path: str) -> list[str]:
     return list_parquet_files(path)
 
 
-def minhash_pairs_join(
-    docs_ds_factory,
-    num_partitions: int = 8,
-    broadcast_id_limit: int = BROADCAST_ID_LIMIT,
-):
-    """MinHash+LSH with JOIN-BASED verification — the 100TB shape.
-
-    ``minhash_pairs`` carries each document's shingle array into all 8
-    band rows (8× payload duplication through the bucket exchange);
-    fine at moderate scale, wasteful at 100TB. Here the band exchange
-    moves only (doc_id, band_key) strings, candidate pairs are deduped
-    and materialized, and shingle sets are fetched for CANDIDATES ONLY
-    (``_fetch_verify``) — total shuffle volume is O(corpus signatures)
-    + O(candidates × shingles) instead of O(corpus shingles × bands).
-    Results are identical (tests + the same SQL oracle assert it)."""
-    from .exchange import keyed_exchange
-
-    bands = docs_ds_factory().map_batches(
-        _minhash_band_rows_lite, batch_format="pyarrow"
-    )
-    cands = keyed_exchange(
-        keyed_exchange(bands, ["band_key"], _bucket_pairs, num_partitions),
-        ["doc_id_a", "doc_id_b"],
-        _dedup_pairs,
-        2,
-    ).materialize()
-    return _fetch_verify(cands, docs_ds_factory, num_partitions, broadcast_id_limit)
+def _join_parts(n_pairs: int, num_partitions: int) -> int:
+    """Verify partitions: ~64k pair rows each, in [1, num_partitions]."""
+    return max(1, min(num_partitions, (n_pairs + 65535) // 65536))
 
 
 def _fetch_verify(
@@ -286,30 +189,23 @@ def _fetch_verify(
     num: int = JACCARD_NUM,
     den: int = JACCARD_DEN,
 ):
-    """Phase 2 shared by every candidate-pair self-join (MinHash bands,
-    PPJoin prefixes): fetch shingle blobs for candidate docs only, then
-    exact integer Jaccard ≥ num/den. ``cands`` is the materialized
-    (doc_id_a, doc_id_b) candidate stream. Two tiers on its pair count:
-    broadcast routing + single-exchange verify while the pair list is
-    driver-bounded (``_broadcast_verify``); a distributed SEMI-join id
-    filter (``keyed_join``) + two-exchange verify (``_join_verify``)
-    past ``broadcast_id_limit``."""
+    """PPJoin's phase 2: fetch shingle blobs for candidate docs only,
+    then exact integer Jaccard ≥ num/den. ``cands`` is the materialized,
+    deduped (doc_id_a, doc_id_b) candidate stream. Two tiers on its
+    pair count: broadcast routing + single-exchange verify while the
+    pair list is driver-bounded (``_broadcast_verify``); the semi-join
+    tier (``_semijoin_verify``) past ``broadcast_id_limit``."""
     import ray
     import ray.data as rd
-
-    from .exchange import keyed_exchange, keyed_join
 
     # the pair count of a materialized Dataset is block metadata; it
     # drives both the join-partition sizing and the broadcast-vs-semi-
     # join decision (distinct candidate ids ≤ 2·pairs, so the count is
     # a safe proxy without reading any column)
     n_pairs = cands.count()
-    # ~64k pair rows per partition keeps per-partition work meaningful;
-    # never below 1, never above the configured ceiling.
-    join_parts = max(1, min(num_partitions, (n_pairs + 65535) // 65536))
-
     if n_pairs == 0:
         return rd.from_pandas(_PAIR_EMPTY.copy())
+    join_parts = _join_parts(n_pairs, num_partitions)
 
     if 2 * n_pairs <= broadcast_id_limit:
         # BROADCAST path (the common case): the candidate id set —
@@ -318,15 +214,21 @@ def _fetch_verify(
         # so only candidate docs are ever shingled or shuffled.
         cand_tbl = pa.concat_tables(ray.get(cands.to_arrow_refs()))
         return _broadcast_verify(cand_tbl, docs_ds_factory, join_parts, num, den)
+    return _semijoin_verify(cands, docs_ds_factory, join_parts, num, den)
 
-    # SEMI-JOIN fallback (the SCALE.md promise): when the id set would
-    # blow the broadcast budget (~10^8 ids = 800MB per worker), the
-    # candidate filter becomes a distributed SEMI-join instead of a
-    # driver-held set — the ids never materialize in one process. The
-    # distinct ids come from a doc_id-keyed exchange, and docs
-    # inner-join them BEFORE shingling, so still only candidate docs
-    # are shingled; the price vs broadcast is one extra shuffle of the
-    # candidate docs' raw text.
+
+def _semijoin_verify(cands, docs_ds_factory, join_parts: int,
+                     num: int = JACCARD_NUM, den: int = JACCARD_DEN):
+    """The verify tier past the broadcast budget (~10^8 ids = 800MB per
+    worker): the candidate filter is a distributed SEMI-join, so the
+    ids never materialize in one process. The distinct ids come from a
+    doc_id-keyed exchange, and the docs (text, or packed ``shingles``
+    blobs, see ``_blob_table``) inner-join them BEFORE shingling, so
+    only candidate docs are shingled; the price vs broadcast is one
+    extra shuffle of the candidate docs. ``cands`` is a materialized,
+    deduped (doc_id_a, doc_id_b, ...) pair stream."""
+    from .exchange import keyed_exchange, keyed_join
+
     def _stack_ids(t: pa.Table) -> pa.Table:
         ids = np.concatenate(
             [
@@ -345,7 +247,7 @@ def _fetch_verify(
     cand_docs = keyed_join(
         docs_ds_factory(), ids, "doc_id", "inner", num_partitions=max(2, join_parts)
     )
-    sh = cand_docs.map_batches(_shingle_table, batch_format="pyarrow")
+    sh = cand_docs.map_batches(_blob_table, batch_format="pyarrow")
     return _join_verify(cands, sh, join_parts, num, den)
 
 
@@ -381,10 +283,11 @@ def ppjoin_pairs(
     degrades ORDER QUALITY (a few hot shingles keep hash order), never
     correctness. Shape: df pass → prefix rows (hash, doc, size) →
     hash-keyed exchange emits candidate pairs with the integer length
-    filter (den·min ≥ num·max) → pair dedup → materialize → the SAME
-    two-tier candidate fetch + exact-Jaccard verify as
-    minhash_pairs_join (``_fetch_verify``). Output identical
-    schema/semantics: (doc_id_a, doc_id_b, n_common, n_union), a < b."""
+    filter (den·min ≥ num·max) → pair dedup → materialize → the
+    two-tier candidate fetch + exact-Jaccard verify (``_fetch_verify``,
+    the same broadcast and semi-join tiers as
+    ``incremental_minhash_pairs``). Output schema/semantics as the
+    MinHash detector: (doc_id_a, doc_id_b, n_common, n_union), a < b."""
     import ray
 
     from .exchange import keyed_exchange
@@ -623,9 +526,11 @@ def _join_verify(cands, sh, num_partitions: int,
     def zip_verify(df: pd.DataFrame) -> pd.DataFrame:
         a_side = df[df["side"] == 0]
         b_side = df[df["side"] == 1]
+        # one row per pair, even if a doc's blob arrived twice (a doc id
+        # in both the index store and the batch)
         m = a_side.merge(
             b_side, on=["doc_id_a", "doc_id_b"], suffixes=("_a", "_b")
-        )
+        ).drop_duplicates(["doc_id_a", "doc_id_b"])
         out = []
         dec: dict = {}
 
@@ -704,7 +609,8 @@ def _verify_simhash_buckets(df: pd.DataFrame) -> pd.DataFrame:
 
 def simhash_pairs(docs_ds_factory, num_partitions: int = 8):
     """documents → (doc_id_a, doc_id_b, hamming ≤ 3) near-dup pairs.
-    Factory arg: see minhash_pairs."""
+    ``docs_ds_factory`` is a zero-arg callable building the documents
+    Dataset, as for every detector here."""
     from .exchange import keyed_exchange
 
     rows = docs_ds_factory().map_batches(_simhash_rows, batch_format="pyarrow")
@@ -806,7 +712,7 @@ def pairs_components(
 def minhash_clusters(docs_ds_factory, rounds: int = 8, num_partitions: int = 8):
     """documents → (doc_id, cluster_rep) for every doc in a near-dup
     cluster, cluster_rep = component-min doc_id."""
-    pairs = minhash_pairs(docs_ds_factory, num_partitions)
+    pairs = incremental_minhash_pairs(docs_ds_factory, None, num_partitions)
     comp = pairs_components(
         pairs, "doc_id_a", "doc_id_b", rounds=rounds, num_partitions=num_partitions
     )
@@ -860,8 +766,10 @@ def build_minhash_index(docs_ds_factory, index_dir: str) -> dict:
       pushed-down ``doc_id`` row filter prunes whole files/row-groups
       at 100TB.
 
-    Index build costs one corpus scan + one band exchange + one shingle
-    sort — a one-off; every subsequent ingest reads only touched
+    Index build costs one corpus scan (each document is shingled once:
+    the materialized blobs feed both the band rows and the shingle
+    store) + one band exchange + one shingle sort — a one-off; every
+    subsequent ingest reads only touched
     buckets and candidate row groups. Extends the batch dedup family
     (reference exact-dedup shape, SURVEY.md §2.7) with the corpus-
     maintenance story a training-data pipeline needs: new crawl slices
@@ -874,11 +782,9 @@ def build_minhash_index(docs_ds_factory, index_dir: str) -> dict:
     sh_dir = os.path.join(index_dir, "shingles")
     os.makedirs(bands_dir, exist_ok=True)
     os.makedirs(sh_dir, exist_ok=True)
-    band_rows = (
-        docs_ds_factory()
-        .map_batches(_minhash_band_rows_lite, batch_format="pyarrow")
-        .map_batches(_with_band_bucket, batch_format="pandas")
-    )
+    sh = docs_ds_factory().map_batches(_shingle_table, batch_format="pyarrow")
+    sh = sh.materialize()
+    band_rows = sh.map_batches(_band_rows_from_shingles, batch_format="pyarrow")
     (
         # co-locate each band_bucket in one partition (pid is a pure
         # function of the bucket) -> exactly one file per bucket
@@ -889,13 +795,7 @@ def build_minhash_index(docs_ds_factory, index_dir: str) -> dict:
         .map_batches(lambda t: t.replace_schema_metadata(None), batch_format="pyarrow")
         .write_parquet(bands_dir, partition_cols=["band_bucket"])
     )
-    (
-        docs_ds_factory()
-        .map_batches(_shingle_table, batch_format="pyarrow")
-        .sort("doc_id")
-        .repartition(8)
-        .write_parquet(sh_dir)
-    )
+    sh.sort("doc_id").repartition(8).write_parquet(sh_dir)
     with open(os.path.join(index_dir, "_LAYOUT_VERSION"), "w") as f:
         f.write(INDEX_LAYOUT_VERSION)
     return {"bands": bands_dir, "shingles": sh_dir}
@@ -956,35 +856,66 @@ def _blob_table(batch: pa.Table) -> pa.Table:
     return _shingle_table(batch)
 
 
-def incremental_minhash_pairs(
-    new_docs_factory, index: dict | None, num_partitions: int = 8
-):
-    """Dedup an ingest batch against a persisted corpus index built by
-    ``build_minhash_index`` — without re-shuffling the corpus.
+def _flag(is_new: int):
+    """Band rows → (doc_id, band_key, is_new) rows for
+    ``_flagged_bucket_pairs``."""
+    def add(t: pa.Table) -> pa.Table:
+        return t.select(["doc_id", "band_key"]).append_column(
+            "is_new", pa.array(np.full(t.num_rows, is_new, np.int64))
+        )
 
-    Emits the same (doc_id_a, doc_id_b, n_common, n_union) rows as the
-    batch paths, restricted to pairs with ≥1 ingest-side doc (new–new
-    and new–old; old–old already handled at index build time). With
-    ``index=None`` (a store's first batch) the pairs are new–new only,
-    the rows ``minhash_pairs_join`` gives for the batch.
+    return add
+
+
+def _materialized(ds):
+    """``ds`` as a MaterializedDataset: an in-process exchange result
+    already is one (``rd.from_blocks``), a shuffle result is not."""
+    from ray.data.dataset import MaterializedDataset
+
+    return ds if isinstance(ds, MaterializedDataset) else ds.materialize()
+
+
+def incremental_minhash_pairs(
+    new_docs_factory,
+    index: dict | None,
+    num_partitions: int = 8,
+    broadcast_id_limit: int = BROADCAST_ID_LIMIT,
+):
+    """MinHash+LSH near-dup pairs (doc_id_a, doc_id_b, n_common,
+    n_union), exact J ≥ 4/5, a < b — the engine's one MinHash pair
+    detector.
+
+    With ``index=None`` the docs are the whole corpus (or a store's
+    first batch) and every verified pair among them is returned. With a
+    persisted corpus index built by ``build_minhash_index``, the docs
+    are an ingest batch deduped against the index without re-shuffling
+    the corpus: only pairs with ≥1 batch doc (new–new and new–old;
+    old–old were settled at index build time).
 
     Docs are (doc_id, text) rows; a ``shingles`` column (the packed
     blob of ``_shingle_table``) is used as is instead of re-shingling.
 
-    Shape per ingest batch (N = batch docs, C = LSH candidates):
+    Shape (N = batch docs, C = LSH candidate rows):
     - the batch's blobs and band rows are materialized in the object
       store once; the driver learns only the ≤``INDEX_BAND_BUCKETS``
       touched bucket ids (a bounded aggregate, not O(N));
     - index band rows are read ONLY from touched hive buckets, flagged,
-      unioned with the batch's band rows, and exchanged on band_key —
-      shuffle volume is O(N·bands + touched index band rows), never the
-      corpus text; the C candidate pairs come back to the driver and
-      are deduped there (ints only, no payloads);
-    - phase 2 fetches shingles for the candidates: old sides via a
-      pushed-down ``doc_id IN (...)`` parquet filter on the index store,
-      new sides from the materialized batch blobs; the broadcast verify
-      of ``minhash_pairs_join`` routes each blob to the partitions of
-      its pairs and checks exact Jaccard in one exchange."""
+      unioned with the batch's band rows, and exchanged on band_key
+      (a vectorized self-merge per partition, ``_flagged_bucket_pairs``)
+      — shuffle volume is O(N·bands + touched index band rows), never
+      the corpus text; the C candidate rows are materialized and their
+      count (block metadata) picks the verify tier:
+    - 2·C ≤ ``broadcast_id_limit``: the candidates come back to the
+      driver and are deduped there (ints only, no payloads); old-side
+      blobs are read by a pushed-down ``doc_id IN (...)`` parquet
+      filter on the index store, new-side blobs come from the
+      materialized batch, and ``_broadcast_verify`` routes each blob to
+      the partitions of its pairs and checks exact Jaccard in one
+      exchange;
+    - above it: the candidates are deduped by a pair-keyed exchange and
+      verified by the semi-join tier (``_semijoin_verify``) over the
+      blob source (index shingle store ∪ batch blobs), so no id set
+      reaches the driver."""
     import os
 
     import pyarrow.dataset as pads
@@ -1017,29 +948,36 @@ def incremental_minhash_pairs(
                 )
 
     # phase 1: flagged band-key exchange over (pruned index ∪ batch)
-    # -> candidate pairs with >=1 new side, deduped in the driver
-    def flag(is_new: int):
-        def add(t: pa.Table) -> pa.Table:
-            return t.select(["doc_id", "band_key"]).append_column(
-                "is_new", pa.array(np.full(t.num_rows, is_new, np.int64))
-            )
-
-        return add
-
-    bands = new_bands.map_batches(flag(1), batch_format="pyarrow")
+    # -> candidate pairs with >=1 new side
+    bands = new_bands.map_batches(_flag(1), batch_format="pyarrow")
     if idx_paths:
         bands = read_files(
             idx_paths, columns=["doc_id", "band_key"]
-        ).map_batches(flag(0), batch_format="pyarrow").union(bands)
-    cands = keyed_exchange(
-        bands, ["band_key"], _flagged_bucket_pairs, num_partitions
-    ).to_pandas()
-    if not len(cands):  # no LSH candidates at all
+        ).map_batches(_flag(0), batch_format="pyarrow").union(bands)
+    cands = _materialized(
+        keyed_exchange(bands, ["band_key"], _flagged_bucket_pairs, num_partitions)
+    )
+    n_cands = cands.count()
+    if n_cands == 0:  # no LSH candidates at all
         return rd.from_pandas(_PAIR_EMPTY.copy())
-    cands = cands.drop_duplicates(["doc_id_a", "doc_id_b"], ignore_index=True)
 
-    # phase 2: old-side blobs by pushed-down id filter, new-side blobs
-    # from the materialized batch
+    if 2 * n_cands > broadcast_id_limit:
+        blobs = new_sh
+        if index is not None:
+            blobs = read_files(_list_parquet(index["shingles"])).union(new_sh)
+        pairs = _materialized(
+            keyed_exchange(cands, ["doc_id_a", "doc_id_b"], _dedup_pairs,
+                           num_partitions)
+        )
+        return _semijoin_verify(
+            pairs, lambda: blobs, _join_parts(n_cands, num_partitions)
+        )
+
+    # phase 2: candidates deduped in the driver; old-side blobs by
+    # pushed-down id filter, new-side blobs from the materialized batch
+    cands = cands.to_pandas().drop_duplicates(
+        ["doc_id_a", "doc_id_b"], ignore_index=True
+    )
     old_ids = np.unique(
         np.concatenate(
             [

@@ -189,10 +189,12 @@ def _exchange(ds, keys, fn, num_partitions, label, emit):
     Tags every row with ``_pid = hash(keys) % num_partitions``,
     materializes that stream once and, per non-empty ``_pid`` group,
     calls ``fn(group)`` (the combine) and then ``emit(pid, out)`` on a
-    non-empty result; ``None`` and empty results are skipped. Small
-    streams (``size_bytes() <= BYTES_PER_PARTITION``) are grouped in
-    the calling process, in ascending ``_pid`` order, one output block
-    per group; larger ones take the sort-based shuffle."""
+    non-empty result; ``None`` and empty results are not emitted. When
+    no combine output has rows, the result is a 0-row Dataset with the
+    columns of an empty output, if one had columns. Small streams
+    (``size_bytes() <= BYTES_PER_PARTITION``) are grouped in the
+    calling process, in ascending ``_pid`` order, one output block per
+    group; larger ones take the sort-based shuffle."""
     import pandas as pd
     import ray.data as rd
 
@@ -211,7 +213,7 @@ def _exchange(ds, keys, fn, num_partitions, label, emit):
     def group(pid: int, g: "pd.DataFrame"):
         out = fn(g.drop(columns=[PID_COL]))
         if out is None or not len(out):
-            return None
+            return out  # nothing to emit; an empty frame keeps its columns
         if meter is not None and hasattr(out, "memory_usage"):
             _meter_add(meter, mlabel, "out", out)
         return emit(pid, out)
@@ -219,13 +221,15 @@ def _exchange(ds, keys, fn, num_partitions, label, emit):
     tagged = ds.map_batches(add_pid, batch_format="pandas").materialize()
     if tagged.size_bytes() <= BYTES_PER_PARTITION:
         df = tagged.to_pandas()
-        blocks = []
+        outs = []
         if len(df):
             for pid, g in df.groupby(PID_COL, sort=True):
                 out = group(int(pid), g.reset_index(drop=True))
                 if out is not None:
-                    blocks.append(out)
-        return rd.from_blocks(blocks)
+                    outs.append(out)
+        blocks = [o for o in outs if len(o)]
+        # no rows anywhere: one empty output with columns keeps the schema
+        return rd.from_blocks(blocks or [o for o in outs if o.shape[1]][:1])
 
     def run(g: "pd.DataFrame") -> "pd.DataFrame":
         out = group(int(g[PID_COL].iloc[0]), g)
@@ -262,8 +266,10 @@ def keyed_exchange(ds, keys, fn, num_partitions: int | None = None,
     fits one partition by definition.
 
     ``fn`` may return a pandas frame, an Arrow table, ``None`` or an
-    empty frame; ``None`` and empty results are dropped, and if every
-    partition yields nothing the result is an empty Dataset.
+    empty frame; ``None`` and empty results are dropped. If no partition
+    yields a row, the result is a 0-row Dataset that keeps the columns
+    of an empty result with columns, or has none if there is no such
+    result (every partition returned ``None``, or no partition ran).
 
     Inside an ``exchange_metering()`` scope, the stream entering the
     exchange and the combined output are measured (rows + deep pandas
@@ -327,7 +333,8 @@ def keyed_join(left, right, on: str, how: str, right_on: str | None = None,
     hashed under another dtype, or one that does not fit that type,
     raises. A null key never matches, as in SQL: ``inner`` drops it and
     ``left_anti`` keeps the left row. The result's rows come in no
-    particular order, and if it has none it is an empty Dataset
+    particular order. A result with no rows keeps its columns only if
+    some partition held rows of both sides; otherwise it has none
     (``keyed_exchange``)."""
     import numpy as np
     import pandas as pd

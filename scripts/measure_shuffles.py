@@ -63,7 +63,7 @@ def main() -> None:
         ),
     )
     consume(
-        "minhash_pairs_join",
+        "minhash",
         lambda: Q.doc_dedup_minhash_join(sf).materialize(),
     )
     consume("ppjoin", lambda: Q.doc_dedup_ppjoin(sf).materialize())

@@ -12,7 +12,7 @@ from biomedical_ner_ray.kernels.hashing import simhash64_md5, stable_u64_md5
 from biomedical_ner_ray.stages.dedup import (
     JACCARD_DEN,
     JACCARD_NUM,
-    minhash_pairs,
+    incremental_minhash_pairs,
     minhash_signature,
     shingle_hashes,
     simhash_pairs,
@@ -72,7 +72,9 @@ def _docs_ds_factory():
 
 
 def test_minhash_pairs_finds_planted_dups(ray_session):
-    pairs = minhash_pairs(_docs_ds_factory(), num_partitions=2).to_pandas()
+    pairs = incremental_minhash_pairs(
+        _docs_ds_factory(), None, num_partitions=2
+    ).to_pandas()
     found = {(a, b) for a, b in zip(pairs["doc_id_a"], pairs["doc_id_b"])}
     assert (0, 1) in found  # exact dup always caught
     for a, b, nc, nu in pairs.itertuples(index=False):
@@ -93,40 +95,31 @@ def test_popcount_vectorization():
     assert pops.tolist() == [0, 1, 2, 64]
 
 
-def test_minhash_join_variant_equivalent(ray_session):
-    from biomedical_ner_ray.stages.dedup import minhash_pairs_join
+def test_minhash_join_variant_equivalent(ray_session, monkeypatch):
+    """The detector's join variant (every keyed exchange a shuffle join)
+    returns the same pairs as its in-process combine, on the broadcast
+    verify and on the semi-join tier (``broadcast_id_limit=0``)."""
+    from biomedical_ner_ray.stages import exchange
 
-    a = minhash_pairs(_docs_ds_factory(), num_partitions=2).to_pandas()
-    b = minhash_pairs_join(_docs_ds_factory(), num_partitions=2).to_pandas()
     cols = ["doc_id_a", "doc_id_b", "n_common", "n_union"]
-    pd.testing.assert_frame_equal(
-        a[cols].sort_values(cols).reset_index(drop=True),
-        b[cols].sort_values(cols).reset_index(drop=True),
-    )
-
-
-def test_minhash_join_semijoin_fallback_equivalent(ray_session):
-    """broadcast_id_limit=0 forces the semi-join candidate-filter path
-    (the SCALE.md fallback for id sets too large to ray.put): pairs must
-    be identical to the broadcast path and to the payload path."""
-    from biomedical_ner_ray.stages.dedup import minhash_pairs_join
-
-    a = minhash_pairs(_docs_ds_factory(), num_partitions=2).to_pandas()
-    b = minhash_pairs_join(
-        _docs_ds_factory(), num_partitions=2, broadcast_id_limit=0
-    ).to_pandas()
-    cols = ["doc_id_a", "doc_id_b", "n_common", "n_union"]
-    pd.testing.assert_frame_equal(
-        a[cols].sort_values(cols).reset_index(drop=True),
-        b[cols].sort_values(cols).reset_index(drop=True),
-    )
+    for kwargs in ({}, {"broadcast_id_limit": 0}):
+        got = {}
+        for path, limit in (("inproc", 1 << 40), ("join", -1)):
+            monkeypatch.setattr(exchange, "BYTES_PER_PARTITION", limit)
+            got[path] = incremental_minhash_pairs(
+                _docs_ds_factory(), None, num_partitions=2, **kwargs
+            ).to_pandas()[cols]
+        join = got["join"]
+        assert (0, 1) in set(zip(join["doc_id_a"], join["doc_id_b"]))
+        pd.testing.assert_frame_equal(
+            got["inproc"].sort_values(cols).reset_index(drop=True),
+            join.sort_values(cols).reset_index(drop=True),
+        )
 
 
 def test_minhash_join_without_candidates_is_empty(ray_session):
-    """Docs that share no LSH band write no candidate handoff files; the
-    join returns no pairs instead of failing to read them."""
-    from biomedical_ner_ray.stages.dedup import minhash_pairs_join
-
+    """Docs that share no LSH band yield no candidate pairs; the
+    detector returns no pairs, with the pair columns."""
     docs = pd.DataFrame(
         {
             "doc_id": np.array([1, 2], dtype=np.int64),
@@ -136,7 +129,9 @@ def test_minhash_join_without_candidates_is_empty(ray_session):
             ],
         }
     )
-    assert minhash_pairs_join(lambda: rd.from_pandas(docs)).count() == 0
+    out = incremental_minhash_pairs(lambda: rd.from_pandas(docs), None)
+    assert out.count() == 0
+    assert out.schema().names == ["doc_id_a", "doc_id_b", "n_common", "n_union"]
 
 
 def test_fuzzy_decontaminate_pairs_straddle_split(ray_session):
@@ -175,8 +170,9 @@ def test_source_overlap_matrix_consistent(ray_session):
 
     sf = "/root/testdata/sf0.01"
     got = Q.doc_source_overlap(sf).to_pandas()
-    allp = minhash_pairs(
-        lambda: rd.read_parquet(sf + "/documents.parquet", columns=["doc_id", "text"])
+    allp = incremental_minhash_pairs(
+        lambda: rd.read_parquet(sf + "/documents.parquet", columns=["doc_id", "text"]),
+        None,
     ).to_pandas()
     assert int(got["n_pairs"].sum()) == len(allp)
     assert (got["source_a"] <= got["source_b"]).all()

@@ -5,7 +5,7 @@ when the endpoints are NOT directly similar."""
 import pandas as pd
 import ray.data as rd
 
-from biomedical_ner_ray.stages.dedup import minhash_clusters, minhash_pairs
+from biomedical_ner_ray.stages.dedup import incremental_minhash_pairs, minhash_clusters
 
 _WORDS = (
     "alpha beta gamma delta epsilon zeta eta theta iota kappa lam mu nu xi "
@@ -30,7 +30,7 @@ def _factory():
 
 
 def test_chain_is_one_cluster(ray_session):
-    pairs = minhash_pairs(_factory(), num_partitions=2).to_pandas()
+    pairs = incremental_minhash_pairs(_factory(), None, num_partitions=2).to_pandas()
     found = {(a, b) for a, b in zip(pairs["doc_id_a"], pairs["doc_id_b"])}
     assert (0, 1) in found and (1, 2) in found
     assert (0, 2) not in found  # endpoints below threshold — true chain

@@ -256,3 +256,28 @@ def test_no_second_shuffle_mechanism():
                     if banned.search(line):
                         hits.append(f"{os.path.relpath(path, root)}:{i}: {line.strip()}")
     assert not hits, "\n".join(hits)
+
+
+def test_one_minhash_pair_detector():
+    """``incremental_minhash_pairs`` is the one MinHash pair detector:
+    it is the path the ingest benchmark runs, so a second detector
+    (the shingle-payload band exchange or the per-bucket pair loop it
+    replaced) would be a copy no benchmark watches."""
+    import re
+
+    import biomedical_ner_ray
+
+    root = os.path.dirname(biomedical_ner_ray.__file__)
+    banned = re.compile(
+        r"minhash_pairs_join|_minhash_band_rows|_verify_minhash_buckets"
+        r"|\b_bucket_pairs\b|(^|[^_a-z])minhash_pairs\b"
+    )
+    hits = []
+    for dirpath, _dirs, files in os.walk(root):
+        for f in files:
+            if f.endswith(".py"):
+                path = os.path.join(dirpath, f)
+                for i, line in enumerate(open(path, encoding="utf-8"), 1):
+                    if banned.search(line):
+                        hits.append(f"{os.path.relpath(path, root)}:{i}: {line.strip()}")
+    assert not hits, "\n".join(hits)

@@ -1,7 +1,8 @@
-"""Incremental (ingest-time) MinHash dedup against a persisted index
-(stages/dedup.build_minhash_index / incremental_minhash_pairs):
-equivalence with the batch path restricted to ≥1-new pairs, bucket
-pruning of the index read, and empty-ingest behavior."""
+"""The MinHash pair detector (stages/dedup.incremental_minhash_pairs),
+with and without a persisted index (stages/dedup.build_minhash_index):
+equality with a brute-force LSH reference on every verify tier and
+exchange path, bucket pruning of the index read, and empty-result
+schemas."""
 
 import os
 
@@ -9,11 +10,17 @@ import pandas as pd
 import pytest
 import ray.data as rd
 
+from biomedical_ner_ray.stages import exchange
 from biomedical_ner_ray.stages.dedup import (
     INDEX_BAND_BUCKETS,
+    JACCARD_DEN,
+    JACCARD_NUM,
+    NUM_BANDS,
+    band_key,
     build_minhash_index,
     incremental_minhash_pairs,
-    minhash_pairs,
+    minhash_signature,
+    shingle_hashes,
 )
 
 PAIR_COLS = ["doc_id_a", "doc_id_b", "n_common", "n_union"]
@@ -42,6 +49,18 @@ _NEW = [
     {"doc_id": 12, "text": "unrelated ingest noise about orbital mechanics"},
     {"doc_id": 13, "text": "unrelated ingest noise about orbital mechanics"},  # dup of 12
 ]
+# an LSH candidate that fails the verify: two 30-word docs, 4 words
+# swapped, Jaccard 17/39 and one shared band key
+_WORDS30 = [f"tok0x{i}" for i in range(30)]
+_MISS = [
+    {"doc_id": 30, "text": " ".join(_WORDS30)},
+    {
+        "doc_id": 31,
+        "text": " ".join(
+            f"alt0x{i}" if i in (2, 10, 13, 28) else w for i, w in enumerate(_WORDS30)
+        ),
+    },
+]
 
 
 def _index(tmp_path):
@@ -54,23 +73,107 @@ def _sorted(df):
     return df[PAIR_COLS].sort_values(PAIR_COLS).reset_index(drop=True)
 
 
-def test_incremental_matches_batch_path_restricted(ray_session, tmp_path):
-    idx = _index(tmp_path)
-    inc = incremental_minhash_pairs(
-        lambda: rd.from_pandas(pd.DataFrame(_NEW)), idx, num_partitions=2
-    ).to_pandas()
-    full = minhash_pairs(
-        lambda: rd.from_pandas(pd.DataFrame(_OLD + _NEW)), num_partitions=2
-    ).to_pandas()
-    new_ids = {r["doc_id"] for r in _NEW}
-    want = full[
-        full["doc_id_a"].isin(new_ids) | full["doc_id_b"].isin(new_ids)
-    ]
-    pd.testing.assert_frame_equal(_sorted(inc), _sorted(want))
-    found = {(a, b) for a, b in zip(inc["doc_id_a"], inc["doc_id_b"])}
+def _band_keys(text: str) -> set:
+    sig = minhash_signature(shingle_hashes(text))
+    return {band_key(sig, b) for b in range(NUM_BANDS)}
+
+
+def _reference_pairs(rows, new_ids=None) -> pd.DataFrame:
+    """Brute-force LSH: every pair of docs sharing a band key, kept at
+    exact shingle Jaccard ≥ 4/5; with ``new_ids``, only the pairs with
+    a doc among them."""
+    text = {r["doc_id"]: r["text"] for r in rows}
+    keys = {d: _band_keys(t) for d, t in text.items()}
+    sets = {d: set(shingle_hashes(t).tolist()) for d, t in text.items()}
+    ids = sorted(text)
+    out = []
+    for i, a in enumerate(ids):
+        for b in ids[i + 1:]:
+            if new_ids is not None and a not in new_ids and b not in new_ids:
+                continue
+            if not keys[a] & keys[b]:
+                continue
+            nc = len(sets[a] & sets[b])
+            nu = len(sets[a]) + len(sets[b]) - nc
+            if nu and JACCARD_DEN * nc >= JACCARD_NUM * nu:
+                out.append((a, b, nc, nu))
+    return pd.DataFrame(out, columns=PAIR_COLS).astype("int64")
+
+
+@pytest.fixture(scope="module")
+def shared_index(tmp_path_factory):
+    return _index(tmp_path_factory.mktemp("shared"))
+
+
+@pytest.mark.parametrize("path", ["inproc", "shuffle"])
+@pytest.mark.parametrize("limit", ["broadcast", "semijoin"])
+@pytest.mark.parametrize("docs", ["text", "blobs"])
+@pytest.mark.parametrize("indexed", ["noindex", "index"])
+def test_minhash_pairs_equal_reference(
+    ray_session, shared_index, monkeypatch, indexed, docs, limit, path
+):
+    """Every route through the detector returns the brute-force
+    reference's rows: no index (all pairs of the docs) and with an index
+    (old docs indexed, pairs with ≥1 new doc); docs with text only or
+    with their packed ``shingles`` blobs; the broadcast verify and the
+    semi-join tier (``broadcast_id_limit=0``); the in-process and the
+    shuffle exchange."""
+    monkeypatch.setattr(
+        exchange, "BYTES_PER_PARTITION", (1 << 40) if path == "inproc" else -1
+    )
+    rows = _NEW + _MISS if indexed == "index" else _OLD + _NEW + _MISS
+    batch = pd.DataFrame(rows)
+    if docs == "blobs":
+        batch = batch.assign(
+            shingles=[shingle_hashes(t).tobytes() for t in batch["text"]]
+        )
+    kwargs = {"broadcast_id_limit": 0} if limit == "semijoin" else {}
+    out = incremental_minhash_pairs(
+        lambda: rd.from_pandas(batch),
+        shared_index if indexed == "index" else None,
+        num_partitions=2,
+        **kwargs,
+    ).materialize()
+    assert out.schema().names == PAIR_COLS
+    got = out.to_pandas()
+    if indexed == "index":
+        want = _reference_pairs(_OLD + _NEW + _MISS, {r["doc_id"] for r in rows})
+    else:
+        want = _reference_pairs(rows)
+    pd.testing.assert_frame_equal(_sorted(got), _sorted(want), check_dtype=False)
+
+    found = {(a, b) for a, b in zip(got["doc_id_a"], got["doc_id_b"])}
     assert (2, 11) in found  # old–new exact dup
     assert (12, 13) in found  # new–new exact dup
-    assert (0, 1) not in found  # old–old settled at index build
+    assert (30, 31) not in found  # a candidate the verify drops
+    # old–old: settled at index build, found when the batch is the corpus
+    assert ((0, 1) in found) == (indexed == "noindex")
+
+
+@pytest.mark.parametrize("with_blobs", [False, True])
+def test_bootstrap_without_index_equals_minhash_pairs_join(
+    ray_session, monkeypatch, with_blobs
+):
+    """A store's first batch (no index) gets exactly the pairs the
+    detector's join variant (every keyed exchange a shuffle join, text
+    only) finds in the batch, whether the docs carry their packed
+    shingle blobs or only text."""
+    docs = pd.DataFrame(_OLD + _NEW)
+    with_sh = docs.assign(
+        shingles=[shingle_hashes(t).tobytes() for t in docs["text"]]
+    )
+    monkeypatch.setattr(exchange, "BYTES_PER_PARTITION", 1 << 40)
+    boot = incremental_minhash_pairs(
+        lambda: rd.from_pandas(with_sh if with_blobs else docs),
+        None,
+        num_partitions=2,
+    ).to_pandas()
+    monkeypatch.setattr(exchange, "BYTES_PER_PARTITION", -1)
+    join = incremental_minhash_pairs(
+        lambda: rd.from_pandas(docs), None, num_partitions=2
+    ).to_pandas()
+    assert len(join) >= 3  # (0, 1), (2, 11) and (12, 13) at least
+    pd.testing.assert_frame_equal(_sorted(boot), _sorted(join))
 
 
 def test_index_layout_and_bucket_pruning(ray_session, tmp_path):
@@ -88,17 +191,27 @@ def test_index_layout_and_bucket_pruning(ray_session, tmp_path):
     assert pq.read_table(idx["shingles"]).num_rows == 4
 
 
-def test_empty_ingest_batch(ray_session, tmp_path):
+def test_empty_ingest_batch(ray_session, tmp_path, monkeypatch):
+    """A result without pairs keeps the pair schema: for an empty batch,
+    and for candidates that all fail the verify (the exchange's empty
+    combine outputs), on both exchange paths."""
+    a, b = (r["text"] for r in _MISS)
+    assert len(_band_keys(a) & _band_keys(b)) == 1  # one LSH candidate
+    assert _reference_pairs(_MISS).empty  # that fails the verify
     idx = _index(tmp_path)
     empty = pd.DataFrame({"doc_id": pd.Series([], dtype="int64"),
                           "text": pd.Series([], dtype="object")})
-    out = incremental_minhash_pairs(
-        lambda: rd.from_pandas(empty), idx, num_partitions=2
-    )
-    # ds.to_pandas() drops columns for empty datasets (Ray quirk); the
-    # dataset-level schema is the contract.
-    assert out.schema().names == PAIR_COLS
-    assert out.count() == 0
+    for threshold in (1 << 40, -1):
+        monkeypatch.setattr(exchange, "BYTES_PER_PARTITION", threshold)
+        for batch in (empty, pd.DataFrame(_MISS)):
+            out = incremental_minhash_pairs(
+                lambda: rd.from_pandas(batch), idx, num_partitions=2
+            ).materialize()
+            # ds.to_pandas() drops columns for empty datasets (Ray quirk);
+            # the dataset-level schema is the contract.
+            assert out.schema() is not None
+            assert out.schema().names == PAIR_COLS
+            assert out.count() == 0
 
 
 def test_disjoint_ingest_no_candidates(ray_session, tmp_path):
@@ -111,31 +224,6 @@ def test_disjoint_ingest_no_candidates(ray_session, tmp_path):
         num_partitions=2,
     ).to_pandas()
     assert len(out) == 0
-
-
-@pytest.mark.parametrize("with_blobs", [False, True])
-def test_bootstrap_without_index_equals_minhash_pairs_join(
-    ray_session, with_blobs
-):
-    """A store's first batch (no index) gets exactly the pairs
-    ``minhash_pairs_join`` finds in the batch, whether the docs carry
-    their packed shingle blobs or only text."""
-    from biomedical_ner_ray.stages.dedup import minhash_pairs_join, shingle_hashes
-
-    docs = pd.DataFrame(_OLD + _NEW)
-    with_sh = docs.assign(
-        shingles=[shingle_hashes(t).tobytes() for t in docs["text"]]
-    )
-    boot = incremental_minhash_pairs(
-        lambda: rd.from_pandas(with_sh if with_blobs else docs),
-        None,
-        num_partitions=2,
-    ).to_pandas()
-    join = minhash_pairs_join(
-        lambda: rd.from_pandas(docs), num_partitions=2
-    ).to_pandas()
-    assert len(join) >= 3  # (0, 1), (2, 11) and (12, 13) at least
-    pd.testing.assert_frame_equal(_sorted(boot), _sorted(join))
 
 
 def _flagged_pairs_loop(df: pd.DataFrame) -> pd.DataFrame:
@@ -222,3 +310,31 @@ def test_flagged_bucket_pairs_empty_frame():
     got, want = _flagged_bucket_pairs(empty), _flagged_pairs_loop(empty)
     assert len(got) == len(want) == 0
     assert list(got.columns) == list(want.columns)
+
+
+def test_query_index_rebuilds_on_rewrite(ray_session, tmp_path):
+    """``doc_dedup_incremental``'s cached index is fingerprinted on
+    documents.parquet's path, size and mtime: a same-size rewrite (a new
+    mtime) rebuilds it, an untouched file reuses it."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from biomedical_ner_ray import queries as Q
+    from biomedical_ner_ray.state import manifest as mf
+
+    sf = tmp_path / "sf_rewrite"
+    sf.mkdir()
+    doc_path = str(sf / "documents.parquet")
+    pq.write_table(pa.Table.from_pylist(_OLD + _NEW), doc_path)
+    out = os.path.dirname(Q._ensure_minhash_index(str(sf))["bands"])
+    first = mf.read_manifest(out)
+    assert mf.read_manifest(os.path.dirname(
+        Q._ensure_minhash_index(str(sf))["bands"]
+    )) == first
+    st = os.stat(doc_path)
+    os.utime(doc_path, ns=(st.st_atime_ns, st.st_mtime_ns + 10**9))
+    assert os.path.getsize(doc_path) == st.st_size
+    Q._ensure_minhash_index(str(sf))
+    second = mf.read_manifest(out)
+    assert second["fingerprint"] != first["fingerprint"]
+    assert second["completed_at"] > first["completed_at"]
