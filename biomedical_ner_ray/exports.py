@@ -31,12 +31,17 @@ def export_run_summary_json(
 ) -> dict:
     """The app's results-bundle analog: per-type counts + a bounded
     sample, written as a single JSON artifact. Aggregation runs in Ray
-    (partial counts), only the tiny summary reaches the driver."""
+    (partial counts), only the tiny summary reaches the driver. The
+    mentions are materialized once: the counting pass runs over them,
+    and the sample is the head of their first blocks, so no execution
+    is stopped early."""
     import pandas as pd
+    import ray
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
         return df.groupby("type", sort=False).size().reset_index(name="n")
 
+    mentions_ds = mentions_ds.materialize()
     counts: dict[str, int] = {}
     for b in (
         mentions_ds.select_columns(["type"])
@@ -45,7 +50,12 @@ def export_run_summary_json(
     ):
         for t, n in zip(b["type"], b["n"]):
             counts[t] = counts.get(t, 0) + int(n)
-    sample = mentions_ds.limit(sample_rows).to_pandas().to_dict("records")
+    sample: list[dict] = []
+    for ref in mentions_ds.to_arrow_refs():
+        if len(sample) >= sample_rows:
+            break
+        head = ray.get(ref).slice(0, sample_rows - len(sample))
+        sample += head.to_pandas().to_dict("records")
     bundle = {
         "type_counts": dict(sorted(counts.items())),
         "n_mentions": int(sum(counts.values())),

@@ -98,33 +98,117 @@ def _transcripts_ds(paths: dict, columns=None):
     return rd.read_parquet(list_parquet_files(paths["transcripts"]), columns=columns)
 
 
+def _query_cache_dir(sf_dir: str, name: str) -> str:
+    """``<tmp>/graft_query_cache/<sf>/<name>``: the directory of one
+    manifest-guarded query cache, keyed on the sf directory's base
+    name."""
+    import tempfile
+
+    return os.path.join(
+        tempfile.gettempdir(),
+        "graft_query_cache",
+        os.path.basename(os.path.normpath(sf_dir)),
+        name,
+    )
+
+
 def _annotations_cache(sf_dir: str) -> tuple[str, list[dict]]:
     """Materialize the annotate stage ONCE per fixture into a
     manifest-guarded parquet cache (state/manifest.py): every KG query
     needs the same annotations, and the driver runs dozens of queries
     back-to-back — recomputing the tag+link pass per query would repeat
-    ~90% of the work. Returns (parquet dir, alias rows)."""
-    import tempfile
-
+    ~90% of the work. Each row is one turn and also carries that turn's
+    timestamp as int64 epoch-µs ``ts_us``, so the temporal-KG queries
+    need no join back to the transcripts. Returns (parquet dir, alias
+    rows)."""
+    from .stages.annotate import _cached_annotator
     from .state import manifest as mf
 
     paths = _fixture(sf_dir)
     rows = _alias_rows(paths)
     files = mf.list_parquet_files(paths["transcripts"])
-    fp = mf.fingerprint("query-ann-v2", mf.input_fingerprint(files))
-    out = os.path.join(
-        tempfile.gettempdir(), "graft_query_cache",
-        os.path.basename(paths["dir"]), "annotations",
-    )
+    fp = mf.fingerprint("query-ann-v3", mf.input_fingerprint(files))
+    out = _query_cache_dir(paths["dir"], "annotations")
     if not mf.is_complete(out, fp):
         ref = ray.put(AliasDict(rows))
 
+        def annotate(batch: pa.Table) -> pa.Table:
+            # the annotator returns row i for input row i (it tags each
+            # distinct text once, but a text recurs at different ts)
+            ts_us = batch["ts"].cast(pa.timestamp("us")).cast(pa.int64())
+            return _cached_annotator(ref)(batch).append_column("ts_us", ts_us)
+
         def build(tmp):
-            ds = _transcripts_ds(paths, columns=["conv_id", "turn_idx", "text"])
-            annotate_stage(ds, ref).write_parquet(tmp)
+            ds = _transcripts_ds(paths, columns=["conv_id", "turn_idx", "text", "ts"])
+            ds.map_batches(annotate, batch_format="pyarrow", batch_size=1024).write_parquet(tmp)
 
         mf.run_stage("query-annotations", out, fp, build)
     return out, rows
+
+
+_EDGE = ["subj_cui", "pred", "obj_cui"]
+
+
+def _turn_partials(sf_dir: str, kind: str = "triples"):
+    """The temporal-KG family's one input: annotation-cache rows →
+    per-turn canonical partials that carry the turn's ``ts_us``.
+
+    ``kind="triples"``: (conv_id, turn_idx, subj_cui, pred, obj_cui,
+    ts_us, n) — CUIs remapped to their canonical component label,
+    self-loops dropped, each edge counted once per turn.
+    ``kind="mentions"``: (conv_id, turn_idx, cui, ts_us, n) over the
+    linked mentions, remapped the same way. A turn lives in one cache
+    row, so the per-batch count is its complete per-turn count."""
+    from .stages.explode import _explode
+    from .state.broadcast import resolve
+    from .state.manifest import list_parquet_files
+
+    ann_dir, rows = _annotations_cache(sf_dir)
+    comp_ref = ray.put(canonical_components(rows))
+    keys = _EDGE if kind == "triples" else ["cui"]
+
+    def partial(batch: pa.Table) -> pd.DataFrame:
+        comp = resolve(comp_ref)
+        t = _explode(batch, kind, ["conv_id", "turn_idx", "ts_us"])
+        if kind == "mentions":
+            t = t.filter(t["cui"].is_valid())
+        df = t.select(["conv_id", "turn_idx", *keys, "ts_us"]).to_pandas()
+        if kind == "triples":
+            df["subj_cui"] = df["subj_cui"].map(comp)
+            df["obj_cui"] = df["obj_cui"].map(comp)
+            df = df[(df["subj_cui"] != df["obj_cui"]).to_numpy()]
+        else:
+            df["cui"] = df["cui"].map(comp)
+        df = df.astype({"conv_id": str, "turn_idx": "int64", "ts_us": "int64"})
+        g = df.groupby(list(df.columns), sort=False).size().reset_index(name="n")
+        return g.astype({"n": "int64"})
+
+    return rd.read_parquet(
+        list_parquet_files(ann_dir), columns=["conv_id", "turn_idx", "ts_us", kind]
+    ).map_batches(partial, batch_format="pyarrow")
+
+
+def _corpus_minmax_us(sf_dir: str) -> tuple[int, int]:
+    """Exact corpus (min_ts, max_ts) in epoch-µs: one aggregate over the
+    annotation cache's ``ts_us`` (every turn has a cache row)."""
+    from .state.manifest import list_parquet_files
+
+    ann_dir, _ = _annotations_cache(sf_dir)
+    mm = rd.read_parquet(list_parquet_files(ann_dir), columns=["ts_us"]).aggregate(
+        Min("ts_us"), Max("ts_us")
+    )
+    return int(mm["min(ts_us)"]), int(mm["max(ts_us)"])
+
+
+def _first_row_len(block_refs, col: str) -> int:
+    """Length of the first row's list ``col`` in a materialized
+    Dataset's blocks, read from a block ref: no execution is stopped
+    early, as ``take`` or ``limit`` would."""
+    for ref in block_refs:
+        t = ray.get(ref)
+        if t.num_rows:
+            return len(t.slice(0, 1).to_pylist()[0][col])
+    raise ValueError(f"no rows to read {col!r} from")
 
 
 def _annotations_ds(sf_dir: str):
@@ -1663,8 +1747,6 @@ def _ensure_minhash_index(sf_dir: str) -> dict:
     against. Fingerprint: documents.parquet's path, size and
     ``mtime_ns`` and the index layout, so a same-size rewrite of the
     file or a layout change rebuilds it."""
-    import tempfile
-
     from .stages.dedup import INDEX_LAYOUT_VERSION, build_minhash_index
     from .state import manifest as mf
 
@@ -1673,12 +1755,7 @@ def _ensure_minhash_index(sf_dir: str) -> dict:
     fp = mf.fingerprint(
         "incr-v3", INDEX_LAYOUT_VERSION, doc_path, st.st_size, st.st_mtime_ns
     )
-    out = os.path.join(
-        tempfile.gettempdir(),
-        "graft_query_cache",
-        os.path.basename(os.path.normpath(sf_dir)),
-        "minhash_index",
-    )
+    out = _query_cache_dir(sf_dir, "minhash_index")
     mf.run_stage(
         "minhash-index", out, fp,
         lambda tmp: build_minhash_index(_docs_split_factory(sf_dir, new=False), tmp),
@@ -2660,7 +2737,7 @@ def _pq_pinned_and_codebooks(sf_dir: str):
         columns=["vec_id", "embedding"],
     )
     pinned = ds.map_batches(_quantize_df, batch_format="pandas").materialize()
-    dim = len(pinned.take(1)[0]["q"])
+    dim = _first_row_len(pinned.to_arrow_refs(), "q")
     sub = dim // PQ_M
     # one seed scan + PQ_ITERS partial scans for ALL subspaces (the
     # per-subspace sequential trainer cost 16x the executor launches
@@ -4652,7 +4729,7 @@ def emb_power_iteration(sf_dir: str):
     )
     block_refs = pinned.to_arrow_refs()
 
-    dim = len(pinned.take(1)[0]["am"])
+    dim = _first_row_len(block_refs, "am")
     v = np.full(dim, 1_000_000, dtype=np.int64)
     MICRO_I = np.int64(1_000_000)
 
@@ -5452,18 +5529,11 @@ def _copurchase_cache(sf_dir: str) -> str:
     Python md5 loop are identical work each time). First builder pays
     once per fixture; storing the RAW hash keeps every keep-probability
     mod derivable without rebuilding."""
-    import tempfile
-
     from .state import manifest as mf
 
     path = os.path.join(sf_dir, "lineitem.parquet")
     fp = mf.fingerprint("copurchase-v1", mf.input_fingerprint([path]))
-    out = os.path.join(
-        tempfile.gettempdir(),
-        "graft_query_cache",
-        os.path.basename(os.path.normpath(sf_dir)),
-        "copurchase_edges",
-    )
+    out = _query_cache_dir(sf_dir, "copurchase_edges")
     if not mf.is_complete(out, fp):
 
         def build(tmp):
@@ -5792,89 +5862,21 @@ def kg_edge_provenance(sf_dir: str):
     canonical (subj, pred, obj) edge carries its occurrence weight, the
     number of DISTINCT supporting conversations, and the first/last
     supporting turn timestamp — the lineage a 100 TB KG build needs to
-    audit where an edge came from and when it was last seen. Triples
-    (from the shared annotation cache) and turn timestamps (a pruned
-    transcripts read) meet in ONE turn-keyed exchange (union + per-
-    partition vectorized merge — no broadcast: the turn→ts map is
-    corpus-scale); per-(edge, conv) partials then combine in one
-    edge-keyed exchange (weight = Σ counts, n_convs = distinct convs,
-    min/max timestamp). Canonical node remap is the same broadcast
-    component map as kg_edges (stages/graph.py J7/G9)."""
+    audit where an edge came from and when it was last seen. The
+    per-turn edge partials (``_turn_partials``: canonical remap as in
+    kg_edges, each carrying its turn's cached ``ts_us``) combine in ONE
+    edge-keyed exchange: weight = Σ counts, n_convs = distinct convs,
+    min/max timestamp."""
     from .stages.exchange import keyed_exchange
-    from .state.broadcast import resolve
-    from .state.manifest import list_parquet_files
-
-    ann_dir, rows = _annotations_cache(sf_dir)
-    comp_ref = ray.put(canonical_components(rows))
-    paths = _fixture(sf_dir)
-
-    ann = rd.read_parquet(
-        list_parquet_files(ann_dir), columns=["conv_id", "turn_idx", "triples"]
-    )
-
-    def tr_partial(df: pd.DataFrame) -> pd.DataFrame:
-        comp = resolve(comp_ref)
-        s = df["subj_cui"].map(comp)
-        o = df["obj_cui"].map(comp)
-        keep = (s != o).to_numpy()
-        g = (
-            pd.DataFrame(
-                {
-                    "conv_id": df["conv_id"][keep].astype(str),
-                    "turn_idx": df["turn_idx"][keep].astype("int64"),
-                    "subj_cui": s[keep],
-                    "pred": df["pred"][keep],
-                    "obj_cui": o[keep],
-                }
-            )
-            .groupby(
-                ["conv_id", "turn_idx", "subj_cui", "pred", "obj_cui"], sort=False
-            )
-            .size()
-            .reset_index(name="n")
-        )
-        g["n"] = g["n"].astype("int64")
-        g["ts_us"] = np.int64(0)
-        return g
-
-    def ts_rows(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "conv_id": df["conv_id"].astype(str),
-                "turn_idx": df["turn_idx"].astype("int64"),
-                "subj_cui": "",
-                "pred": "",
-                "obj_cui": "",
-                "n": np.int64(0),
-                "ts_us": df["ts"].to_numpy(dtype="datetime64[us]").astype("int64"),
-            }
-        )
-
-    tri = triples_stage(ann).map_batches(tr_partial, batch_format="pandas")
-    ts = _transcripts_ds(paths, columns=["conv_id", "turn_idx", "ts"]).map_batches(
-        ts_rows, batch_format="pandas"
-    )
-
-    def join_ts(df: pd.DataFrame) -> pd.DataFrame:
-        t = df.loc[df["n"] == 0, ["conv_id", "turn_idx", "ts_us"]]
-        tr = df.loc[df["n"] > 0].drop(columns=["ts_us"])
-        m = tr.merge(t, on=["conv_id", "turn_idx"], how="inner")
-        return (
-            m.groupby(["subj_cui", "pred", "obj_cui", "conv_id"], sort=False)
-            .agg(n=("n", "sum"), mn=("ts_us", "min"), mx=("ts_us", "max"))
-            .reset_index()
-        )
-
-    partials = keyed_exchange(tri.union(ts), ["conv_id", "turn_idx"], join_ts, 16)
 
     def final(df: pd.DataFrame) -> pd.DataFrame:
         g = (
-            df.groupby(["subj_cui", "pred", "obj_cui"], sort=False)
+            df.groupby(_EDGE, sort=False)
             .agg(
                 weight=("n", "sum"),
                 n_convs=("conv_id", "nunique"),
-                f=("mn", "min"),
-                l=("mx", "max"),
+                f=("ts_us", "min"),
+                l=("ts_us", "max"),
             )
             .reset_index()
         )
@@ -5890,7 +5892,7 @@ def kg_edge_provenance(sf_dir: str):
             }
         )
 
-    return keyed_exchange(partials, ["subj_cui", "pred", "obj_cui"], final, 8)
+    return keyed_exchange(_turn_partials(sf_dir), _EDGE, final, 8)
 
 
 XTURN_WINDOW = 2  # max turn gap for cross-turn relations
@@ -6052,19 +6054,12 @@ def _kg_base_edges_cache(sf_dir: str) -> str:
     conversation shard, hive-bucketed on the stable md5 edge hash
     (1 file per bucket via a bucket-keyed exchange — the LSH-index
     layout lesson), manifest-guarded per fixture."""
-    import tempfile
-
     from .state import manifest as mf
 
     paths = _fixture(sf_dir)
     files = mf.list_parquet_files(paths["transcripts"])
     fp = mf.fingerprint("kg-base-edges-v1", mf.input_fingerprint(files))
-    out = os.path.join(
-        tempfile.gettempdir(),
-        "graft_query_cache",
-        os.path.basename(paths["dir"]),
-        "kg_base_edges",
-    )
+    out = _query_cache_dir(paths["dir"], "kg_base_edges")
     if not mf.is_complete(out, fp):
 
         def build(tmp):
@@ -6224,70 +6219,9 @@ def kg_node_provenance(sf_dir: str):
     """Node-level lineage, the companion of kg_edge_provenance: every
     canonical node carries its mention count, distinct supporting
     conversations, and first/last supporting timestamp. Same shape —
-    mention partials and pruned turn timestamps meet in ONE turn-keyed
-    union exchange (never a corpus-scale turn→ts broadcast); per-(node,
-    conv) partials combine in one node-keyed exchange."""
+    the per-turn mention partials of ``_turn_partials`` (each with its
+    turn's cached ``ts_us``) combine in one node-keyed exchange."""
     from .stages.exchange import keyed_exchange
-    from .state.broadcast import resolve
-    from .state.manifest import list_parquet_files
-
-    ann_dir, rows = _annotations_cache(sf_dir)
-    comp_ref = ray.put(canonical_components(rows))
-    paths = _fixture(sf_dir)
-
-    ann = rd.read_parquet(
-        list_parquet_files(ann_dir), columns=["conv_id", "turn_idx", "mentions"]
-    )
-    lm = mentions_stage(ann).map_batches(
-        lambda t: t.filter(t["cui"].is_valid()), batch_format="pyarrow"
-    )
-
-    def m_partial(df: pd.DataFrame) -> pd.DataFrame:
-        comp = resolve(comp_ref)
-        g = (
-            pd.DataFrame(
-                {
-                    "conv_id": df["conv_id"].astype(str),
-                    "turn_idx": df["turn_idx"].astype("int64"),
-                    "cui": df["cui"].map(comp),
-                }
-            )
-            .groupby(["conv_id", "turn_idx", "cui"], sort=False)
-            .size()
-            .reset_index(name="n")
-        )
-        g["n"] = g["n"].astype("int64")
-        g["ts_us"] = np.int64(0)
-        return g
-
-    def ts_rows(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "conv_id": df["conv_id"].astype(str),
-                "turn_idx": df["turn_idx"].astype("int64"),
-                "cui": "",
-                "n": np.int64(0),
-                "ts_us": df["ts"].to_numpy(dtype="datetime64[us]").astype("int64"),
-            }
-        )
-
-    men = lm.map_batches(m_partial, batch_format="pandas")
-    ts = _transcripts_ds(paths, columns=["conv_id", "turn_idx", "ts"]).map_batches(
-        ts_rows, batch_format="pandas"
-    )
-
-    def join_ts(df: pd.DataFrame) -> pd.DataFrame:
-        t = df.loc[df["n"] == 0, ["conv_id", "turn_idx", "ts_us"]]
-        m = df.loc[df["n"] > 0].drop(columns=["ts_us"]).merge(
-            t, on=["conv_id", "turn_idx"], how="inner"
-        )
-        return (
-            m.groupby(["cui", "conv_id"], sort=False)
-            .agg(n=("n", "sum"), mn=("ts_us", "min"), mx=("ts_us", "max"))
-            .reset_index()
-        )
-
-    partials = keyed_exchange(men.union(ts), ["conv_id", "turn_idx"], join_ts, 16)
 
     def final(df: pd.DataFrame) -> pd.DataFrame:
         g = (
@@ -6295,8 +6229,8 @@ def kg_node_provenance(sf_dir: str):
             .agg(
                 mention_count=("n", "sum"),
                 n_convs=("conv_id", "nunique"),
-                f=("mn", "min"),
-                l=("mx", "max"),
+                f=("ts_us", "min"),
+                l=("ts_us", "max"),
             )
             .reset_index()
         )
@@ -6310,7 +6244,7 @@ def kg_node_provenance(sf_dir: str):
             }
         )
 
-    return keyed_exchange(partials, ["cui"], final, 8)
+    return keyed_exchange(_turn_partials(sf_dir, "mentions"), ["cui"], final, 8)
 
 
 KTRUSS_K = 4  # survivors need support (triangles per edge) >= K-2
@@ -6815,20 +6749,13 @@ def _adjacency_rank_cache(sf_dir: str) -> str:
     0-based position of nbr in the node's ascending neighbor list.
     Built once per fixture; every random-walk step then reads ONLY the
     buckets its frontier touches (the doc_dedup_incremental pattern)."""
-    import tempfile
-
     from .state import manifest as mf
 
     path = os.path.join(sf_dir, "lineitem.parquet")
     fp = mf.fingerprint(
         f"rwadj-v1:{TRI_SAMPLE_MOD}:{RW_ADJ_BUCKETS}", mf.input_fingerprint([path])
     )
-    out = os.path.join(
-        tempfile.gettempdir(),
-        "graft_query_cache",
-        os.path.basename(os.path.normpath(sf_dir)),
-        "rw_adjacency",
-    )
+    out = _query_cache_dir(sf_dir, "rw_adjacency")
     if not mf.is_complete(out, fp):
 
         def build(tmp):
@@ -8008,49 +7935,6 @@ def kg_edge_lift(sf_dir: str):
     )
 
 
-def _corpus_cutoff_us(ts_ds) -> int:
-    """Mid-point cutoff for the temporal-KG family: (min_ts + max_ts)
-    // 2 in epoch-µs from a pruned streaming min/max pass — two exact
-    integer aggregates both engines derive identically."""
-
-    def minmax_partial(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return pd.DataFrame(
-                {"mn": pd.Series(dtype="int64"), "mx": pd.Series(dtype="int64")}
-            )
-        us = df["ts"].to_numpy(dtype="datetime64[us]").astype("int64")
-        return pd.DataFrame({"mn": [us.min()], "mx": [us.max()]})
-
-    mm = ts_ds.map_batches(minmax_partial, batch_format="pandas").to_pandas()
-    return (int(mm["mn"].min()) + int(mm["mx"].max())) // 2
-
-
-def _canonical_triple_partials(df: pd.DataFrame, comp) -> pd.DataFrame:
-    """Shared per-batch triple partial for the temporal-KG family:
-    canonical remap, self-loop drop, (conv, turn, edge) counts — the
-    single home of the semantics kg_snapshot_edges / kg_edge_churn /
-    kg_edge_provenance agree on."""
-    s = df["subj_cui"].map(comp)
-    o = df["obj_cui"].map(comp)
-    keep = (s != o).to_numpy()
-    g = (
-        pd.DataFrame(
-            {
-                "conv_id": df["conv_id"][keep].astype(str),
-                "turn_idx": df["turn_idx"][keep].astype("int64"),
-                "subj_cui": s[keep],
-                "pred": df["pred"][keep],
-                "obj_cui": o[keep],
-            }
-        )
-        .groupby(["conv_id", "turn_idx", "subj_cui", "pred", "obj_cui"], sort=False)
-        .size()
-        .reset_index(name="n")
-    )
-    g["n"] = g["n"].astype("int64")
-    return g
-
-
 def kg_snapshot_edges(sf_dir: str):
     """Temporal-KG snapshot — the canonical edge table AS OF the corpus
     mid-point: only triples whose supporting turn timestamp is ≤
@@ -8060,70 +7944,25 @@ def kg_snapshot_edges(sf_dir: str):
     KG: diffing this against kg_edges gives edge churn over the second
     half of the corpus.
 
-    Shape — a pruned (conv, turn, ts) pass reduces min/max per block
-    (driver combine, two integers); then the kg_edge_provenance union
-    exchange with the cutoff applied to the timestamp rows BEFORE the
-    join, so post-cutoff turns never produce pairs; one edge-keyed
-    combine yields (weight, n_convs). Canonical remap = the kg_edges
-    broadcast component map."""
+    Shape — one min/max aggregate over the annotation cache's ``ts_us``
+    gives the cutoff; the per-turn edge partials (``_turn_partials``)
+    then meet in one edge-keyed combine that keeps the pre-cutoff turns
+    and yields (weight, n_convs)."""
     from .stages.exchange import keyed_exchange
-    from .state.broadcast import resolve
-    from .state.manifest import list_parquet_files
 
-    ann_dir, rows = _annotations_cache(sf_dir)
-    comp_ref = ray.put(canonical_components(rows))
-    paths = _fixture(sf_dir)
-
-    ts_ds = _transcripts_ds(paths, columns=["conv_id", "turn_idx", "ts"])
-    cutoff = _corpus_cutoff_us(ts_ds)
-
-    ann = rd.read_parquet(
-        list_parquet_files(ann_dir), columns=["conv_id", "turn_idx", "triples"]
-    )
-
-    def tr_partial(df: pd.DataFrame) -> pd.DataFrame:
-        return _canonical_triple_partials(df, resolve(comp_ref))
-
-    def ts_rows(df: pd.DataFrame, cutoff=cutoff) -> pd.DataFrame:
-        us = df["ts"].to_numpy(dtype="datetime64[us]").astype("int64")
-        keep = us <= cutoff
-        return pd.DataFrame(
-            {
-                "conv_id": df["conv_id"][keep].astype(str),
-                "turn_idx": df["turn_idx"][keep].astype("int64"),
-                "subj_cui": "",
-                "pred": "",
-                "obj_cui": "",
-                "n": np.int64(0),
-            }
-        )
-
-    tri = triples_stage(ann).map_batches(tr_partial, batch_format="pandas")
-    ts = ts_ds.map_batches(ts_rows, batch_format="pandas")
-
-    def join_cut(df: pd.DataFrame) -> pd.DataFrame:
-        t = df.loc[df["n"] == 0, ["conv_id", "turn_idx"]]
-        tr = df.loc[df["n"] > 0]
-        m = tr.merge(t, on=["conv_id", "turn_idx"], how="inner")
-        return (
-            m.groupby(["subj_cui", "pred", "obj_cui", "conv_id"], sort=False)[
-                "n"
-            ]
-            .sum()
-            .reset_index()
-        )
-
-    partials = keyed_exchange(tri.union(ts), ["conv_id", "turn_idx"], join_cut, 16)
+    mn_us, mx_us = _corpus_minmax_us(sf_dir)
+    cutoff = (mn_us + mx_us) // 2
 
     def final(df: pd.DataFrame) -> pd.DataFrame:
         g = (
-            df.groupby(["subj_cui", "pred", "obj_cui"], sort=False)
+            df[df["ts_us"] <= cutoff]
+            .groupby(_EDGE, sort=False)
             .agg(weight=("n", "sum"), n_convs=("conv_id", "nunique"))
             .reset_index()
         )
         return g.astype({"weight": "int64", "n_convs": "int64"})
 
-    return keyed_exchange(partials, ["subj_cui", "pred", "obj_cui"], final, 8)
+    return keyed_exchange(_turn_partials(sf_dir), _EDGE, final, 8)
 
 
 PROFILE_COLS = ("doc_id", "text", "lang", "source", "n_chars")
@@ -8220,70 +8059,19 @@ def kg_edge_churn(sf_dir: str):
     NEW (absent from the snapshot entirely). The monitoring signal a
     continuously-ingested KG alerts on.
 
-    Shape — ONE pass, not two pipelines: the kg_snapshot_edges union
-    exchange, but every turn's timestamp row carries an ``in_snap``
-    flag instead of being pre-filtered, so the single turn-keyed join
-    produces per-(edge, conv) partials with BOTH the total and the
-    pre-cutoff count; one edge-keyed combine then yields
-    (weight_full, weight_snapshot) together and the delta/new gate is
+    Shape — ONE pass, not two pipelines: the kg_snapshot_edges cutoff
+    and per-turn edge partials, but the edge-keyed combine sums both
+    the total and the pre-cutoff count, so (weight_full,
+    weight_snapshot) come out together and the delta/new gate is
     row-local."""
     from .stages.exchange import keyed_exchange
-    from .state.broadcast import resolve
-    from .state.manifest import list_parquet_files
 
-    ann_dir, rows = _annotations_cache(sf_dir)
-    comp_ref = ray.put(canonical_components(rows))
-    paths = _fixture(sf_dir)
-
-    ts_ds = _transcripts_ds(paths, columns=["conv_id", "turn_idx", "ts"])
-
-    cutoff = _corpus_cutoff_us(ts_ds)
-
-    ann = rd.read_parquet(
-        list_parquet_files(ann_dir), columns=["conv_id", "turn_idx", "triples"]
-    )
-
-    def tr_partial(df: pd.DataFrame) -> pd.DataFrame:
-        g = _canonical_triple_partials(df, resolve(comp_ref))
-        g["in_snap"] = np.int64(-1)  # triple marker
-        return g
-
-    def ts_rows(df: pd.DataFrame, cutoff=cutoff) -> pd.DataFrame:
-        us = df["ts"].to_numpy(dtype="datetime64[us]").astype("int64")
-        return pd.DataFrame(
-            {
-                "conv_id": df["conv_id"].astype(str),
-                "turn_idx": df["turn_idx"].astype("int64"),
-                "subj_cui": "",
-                "pred": "",
-                "obj_cui": "",
-                "n": np.int64(0),
-                "in_snap": (us <= cutoff).astype("int64"),
-            }
-        )
-
-    tri = triples_stage(ann).map_batches(tr_partial, batch_format="pandas")
-    ts = ts_ds.map_batches(ts_rows, batch_format="pandas")
-
-    def join_flag(df: pd.DataFrame) -> pd.DataFrame:
-        t = df.loc[df["in_snap"] >= 0, ["conv_id", "turn_idx", "in_snap"]]
-        tr = df.loc[df["in_snap"] < 0].drop(columns=["in_snap"])
-        m = tr.merge(t, on=["conv_id", "turn_idx"], how="inner")
-        m["n_snap"] = m["n"] * m["in_snap"]
-        return (
-            m.groupby(["subj_cui", "pred", "obj_cui"], sort=False)[["n", "n_snap"]]
-            .sum()
-            .reset_index()
-        )
-
-    partials = keyed_exchange(tri.union(ts), ["conv_id", "turn_idx"], join_flag, 16)
+    mn_us, mx_us = _corpus_minmax_us(sf_dir)
+    cutoff = (mn_us + mx_us) // 2
 
     def final(df: pd.DataFrame) -> pd.DataFrame:
-        g = (
-            df.groupby(["subj_cui", "pred", "obj_cui"], sort=False)[["n", "n_snap"]]
-            .sum()
-            .reset_index()
-        )
+        df = df.assign(n_snap=df["n"] * (df["ts_us"] <= cutoff))
+        g = df.groupby(_EDGE, sort=False)[["n", "n_snap"]].sum().reset_index()
         delta = (g["n"] - g["n_snap"]).astype("int64")
         out = g[delta > 0]
         return pd.DataFrame(
@@ -8296,7 +8084,7 @@ def kg_edge_churn(sf_dir: str):
             }
         )
 
-    return keyed_exchange(partials, ["subj_cui", "pred", "obj_cui"], final, 8)
+    return keyed_exchange(_turn_partials(sf_dir), _EDGE, final, 8)
 
 
 def kg_turn_dedup(sf_dir: str):
@@ -9666,8 +9454,6 @@ def _emb_ivf_index_cache(sf_dir: str) -> str:
     would read bucket-by-bucket. One part-keyed exchange gives one file
     per part (the _kg_base_edges_cache layout); manifest-guarded per
     fixture so every query run after the first streams, never rebuilds."""
-    import tempfile
-
     from .state import manifest as mf
     from .stages.exchange import keyed_exchange
 
@@ -9678,12 +9464,7 @@ def _emb_ivf_index_cache(sf_dir: str) -> str:
         str(EMB_IVF_SUB),
         str(EMB_IVF_DELTA_PCT),
     )
-    out = os.path.join(
-        tempfile.gettempdir(),
-        "graft_query_cache",
-        os.path.basename(os.path.normpath(sf_dir)),
-        "emb_ivf_index",
-    )
+    out = _query_cache_dir(sf_dir, "emb_ivf_index")
     if not mf.is_complete(out, fp):
 
         def build(tmp):
@@ -9793,22 +9574,6 @@ KG_DECAY_HALVES = 8  # half-lives spanning the corpus time range
 KG_DECAY_MAX_SHIFT = 30  # shift cap (1e6 >> 20 == 0 already; both engines agree)
 
 
-def _corpus_minmax_us(ts_ds) -> tuple[int, int]:
-    """Exact corpus (min_ts, max_ts) in epoch-µs from a pruned streaming
-    pass — the two integer aggregates the decay arithmetic hangs off."""
-
-    def mm_partial(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return pd.DataFrame(
-                {"mn": pd.Series(dtype="int64"), "mx": pd.Series(dtype="int64")}
-            )
-        us = df["ts"].to_numpy(dtype="datetime64[us]").astype("int64")
-        return pd.DataFrame({"mn": [us.min()], "mx": [us.max()]})
-
-    mm = ts_ds.map_batches(mm_partial, batch_format="pandas").to_pandas()
-    return int(mm["mn"].min()), int(mm["mx"].max())
-
-
 def kg_decay_edges(sf_dir: str):
     """Recency-decayed KG edge confidence — the freshness signal a
     continuously-ingested graph ranks by: every supporting triple
@@ -9817,79 +9582,34 @@ def kg_decay_edges(sf_dir: str):
     (max_ts − ts)) // (max_ts − min_ts)`` — all-integer (epoch-µs
     subtraction, floor division, bit shift), so both engines produce
     the identical decayed weight bit-for-bit. Half-life is defined in
-    units of the corpus span (derived from the same pruned min/max
+    units of the corpus span (derived from the same exact min/max
     aggregates on both sides), so the operator is scale-free: no wall
     clock, no data-dependent float.
 
-    Shape — the kg_edge_provenance union exchange: triple partials and
-    pruned turn timestamps meet in ONE turn-keyed exchange (per-
-    partition vectorized merge, decay applied per occurrence group),
-    then one edge-keyed combine sums raw weight and decayed micro-
-    weight. Canonical remap = the kg_edges broadcast component map."""
+    Shape — the corpus min/max over the annotation cache's ``ts_us``,
+    then the per-turn edge partials (``_turn_partials``) meet in one
+    edge-keyed combine that decays each (turn, edge) count by its
+    turn's age and sums raw weight and decayed micro-weight."""
     from .stages.exchange import keyed_exchange
-    from .state.broadcast import resolve
-    from .state.manifest import list_parquet_files
 
-    ann_dir, rows = _annotations_cache(sf_dir)
-    comp_ref = ray.put(canonical_components(rows))
-    paths = _fixture(sf_dir)
-
-    ts_ds = _transcripts_ds(paths, columns=["conv_id", "turn_idx", "ts"])
-    mn_us, mx_us = _corpus_minmax_us(ts_ds)
+    mn_us, mx_us = _corpus_minmax_us(sf_dir)
     span = mx_us - mn_us
 
-    ann = rd.read_parquet(
-        list_parquet_files(ann_dir), columns=["conv_id", "turn_idx", "triples"]
-    )
-
-    def tr_partial(df: pd.DataFrame) -> pd.DataFrame:
-        g = _canonical_triple_partials(df, resolve(comp_ref))
-        g["ts_us"] = np.int64(0)
-        return g
-
-    def ts_rows(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "conv_id": df["conv_id"].astype(str),
-                "turn_idx": df["turn_idx"].astype("int64"),
-                "subj_cui": "",
-                "pred": "",
-                "obj_cui": "",
-                "n": np.int64(0),
-                "ts_us": df["ts"].to_numpy(dtype="datetime64[us]").astype("int64"),
-            }
-        )
-
-    tri = triples_stage(ann).map_batches(tr_partial, batch_format="pandas")
-    ts = ts_ds.map_batches(ts_rows, batch_format="pandas")
-
-    def join_decay(df: pd.DataFrame) -> pd.DataFrame:
-        t = df.loc[df["n"] == 0, ["conv_id", "turn_idx", "ts_us"]]
-        tr = df.loc[df["n"] > 0].drop(columns=["ts_us"])
-        m = tr.merge(t, on=["conv_id", "turn_idx"], how="inner")
-        if span > 0:
-            k = (KG_DECAY_HALVES * (mx_us - m["ts_us"].to_numpy())) // span
-        else:
-            k = np.zeros(len(m), dtype="int64")
-        k = np.minimum(k, KG_DECAY_MAX_SHIFT)
-        m["dec"] = m["n"].to_numpy() * np.right_shift(np.int64(1_000_000), k)
-        return (
-            m.groupby(["subj_cui", "pred", "obj_cui"], sort=False)
-            .agg(n=("n", "sum"), dec=("dec", "sum"))
-            .reset_index()
-        )
-
-    partials = keyed_exchange(tri.union(ts), ["conv_id", "turn_idx"], join_decay, 16)
-
     def final(df: pd.DataFrame) -> pd.DataFrame:
+        if span > 0:
+            k = (KG_DECAY_HALVES * (mx_us - df["ts_us"].to_numpy())) // span
+        else:
+            k = np.zeros(len(df), dtype="int64")
+        k = np.minimum(k, KG_DECAY_MAX_SHIFT)
+        df = df.assign(dec=df["n"].to_numpy() * np.right_shift(np.int64(1_000_000), k))
         g = (
-            df.groupby(["subj_cui", "pred", "obj_cui"], sort=False)
+            df.groupby(_EDGE, sort=False)
             .agg(weight=("n", "sum"), decayed_micro=("dec", "sum"))
             .reset_index()
         )
         return g.astype({"weight": "int64", "decayed_micro": "int64"})
 
-    return keyed_exchange(partials, ["subj_cui", "pred", "obj_cui"], final, 8)
+    return keyed_exchange(_turn_partials(sf_dir), _EDGE, final, 8)
 
 
 MAD_K = 3  # Hampel rule: outlier iff |x − median| > 3 · MAD
@@ -10582,18 +10302,20 @@ def doc_dedup_eval(
         )
 
     def pairs_in_posting(df: pd.DataFrame) -> pd.DataFrame:
-        out = []
-        for _, g in df.groupby("h", sort=False):
-            if len(g) < 2:
-                continue
-            g = g.sort_values("doc_id")
-            ids = g["doc_id"].to_numpy()
-            ns = g["n_sh"].to_numpy()
-            for i in range(len(ids)):
-                for j in range(i + 1, len(ids)):
-                    out.append((ids[i], ids[j], ns[i], ns[j]))
+        # one self-merge per posting: every pair of its rows once, in
+        # doc_id order (the rank keeps a repeated doc_id's rows apart)
+        d = df.sort_values(["h", "doc_id"], kind="stable")
+        d = d[d.groupby("h")["doc_id"].transform("size") >= 2]
+        d = d.assign(r=d.groupby("h").cumcount())
+        m = d.merge(d, on="h", suffixes=("_a", "_b"))
+        m = m[m["r_a"] < m["r_b"]]
         return pd.DataFrame(
-            out, columns=["doc_id_a", "doc_id_b", "n_a", "n_b"]
+            {
+                "doc_id_a": m["doc_id_a"].to_numpy(),
+                "doc_id_b": m["doc_id_b"].to_numpy(),
+                "n_a": m["n_sh_a"].to_numpy(),
+                "n_b": m["n_sh_b"].to_numpy(),
+            }
         ).astype("int64")
 
     def pair_gate(df: pd.DataFrame) -> pd.DataFrame:
@@ -11298,129 +11020,43 @@ def kg_edge_activity_intervals(sf_dir: str):
     span: an edge that flares up twice shows two intervals, which is
     what freshness/decay policies actually want to know.
 
-    Shape: the provenance union exchange verbatim (triples + pruned
-    timestamps meet on the turn key — no corpus-scale broadcast), but
-    the per-(edge, ts) support rows then land in ONE edge-keyed
-    exchange where the island walk is a vectorized diff/cumsum over
-    the ts-sorted support array; per-edge support is weight-bounded,
-    so a group fits a worker at any corpus scale."""
+    Shape: the per-turn edge partials of ``_turn_partials`` (each with
+    its turn's cached ``ts_us``) land in ONE edge-keyed exchange where
+    the island walk is a vectorized diff/cumsum over the (edge,
+    ts)-sorted support rows; per-edge support is weight-bounded, so a
+    group fits a worker at any corpus scale."""
     from .stages.exchange import keyed_exchange
-    from .state.broadcast import resolve
-    from .state.manifest import list_parquet_files
-
-    ann_dir, rows = _annotations_cache(sf_dir)
-    comp_ref = ray.put(canonical_components(rows))
-    paths = _fixture(sf_dir)
-
-    ann = rd.read_parquet(
-        list_parquet_files(ann_dir), columns=["conv_id", "turn_idx", "triples"]
-    )
-
-    def tr_partial(df: pd.DataFrame) -> pd.DataFrame:
-        comp = resolve(comp_ref)
-        s = df["subj_cui"].map(comp)
-        o = df["obj_cui"].map(comp)
-        keep = (s != o).to_numpy()
-        g = (
-            pd.DataFrame(
-                {
-                    "conv_id": df["conv_id"][keep].astype(str),
-                    "turn_idx": df["turn_idx"][keep].astype("int64"),
-                    "subj_cui": s[keep],
-                    "pred": df["pred"][keep],
-                    "obj_cui": o[keep],
-                }
-            )
-            .groupby(
-                ["conv_id", "turn_idx", "subj_cui", "pred", "obj_cui"], sort=False
-            )
-            .size()
-            .reset_index(name="n")
-        )
-        g["n"] = g["n"].astype("int64")
-        g["ts_us"] = np.int64(0)
-        return g
-
-    def ts_rows(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "conv_id": df["conv_id"].astype(str),
-                "turn_idx": df["turn_idx"].astype("int64"),
-                "subj_cui": "",
-                "pred": "",
-                "obj_cui": "",
-                "n": np.int64(0),
-                "ts_us": df["ts"].to_numpy(dtype="datetime64[us]").astype("int64"),
-            }
-        )
-
-    tri = triples_stage(ann).map_batches(tr_partial, batch_format="pandas")
-    ts = _transcripts_ds(paths, columns=["conv_id", "turn_idx", "ts"]).map_batches(
-        ts_rows, batch_format="pandas"
-    )
-
-    def join_ts(df: pd.DataFrame) -> pd.DataFrame:
-        t = df.loc[df["n"] == 0, ["conv_id", "turn_idx", "ts_us"]]
-        tr = df.loc[df["n"] > 0].drop(columns=["ts_us"])
-        m = tr.merge(t, on=["conv_id", "turn_idx"], how="inner")
-        return (
-            m.groupby(["subj_cui", "pred", "obj_cui", "ts_us"], sort=False)["n"]
-            .sum()
-            .reset_index()
-        )
-
-    partials = keyed_exchange(tri.union(ts), ["conv_id", "turn_idx"], join_ts, 16)
 
     def islands(df: pd.DataFrame) -> pd.DataFrame:
-        outs = []
-        for (s, p, o), g in df.groupby(["subj_cui", "pred", "obj_cui"], sort=False):
-            g = (
-                g.groupby("ts_us", as_index=False)["n"]
-                .sum()
-                .sort_values("ts_us", ignore_index=True)
-            )
-            tsv = g["ts_us"].to_numpy(dtype="int64")
-            nv = g["n"].to_numpy(dtype="int64")
-            new = np.ones(len(tsv), dtype=np.int64)
-            if len(tsv) > 1:
-                new[1:] = (tsv[1:] - tsv[:-1] > KG_ACTIVITY_GAP_US).astype(np.int64)
-            isl = np.cumsum(new)
-            dd = pd.DataFrame({"island": isl, "ts": tsv, "n": nv})
-            agg = (
-                dd.groupby("island")
-                .agg(start=("ts", "min"), end=("ts", "max"), n_support=("n", "sum"))
-                .reset_index()
-            )
-            agg.insert(0, "obj_cui", o)
-            agg.insert(0, "pred", p)
-            agg.insert(0, "subj_cui", s)
-            outs.append(agg)
-        if not outs:
-            return pd.DataFrame(
-                {
-                    "subj_cui": pd.Series(dtype="object"),
-                    "pred": pd.Series(dtype="object"),
-                    "obj_cui": pd.Series(dtype="object"),
-                    "interval_idx": pd.Series(dtype="int64"),
-                    "start_ts": pd.Series(dtype="datetime64[us]"),
-                    "end_ts": pd.Series(dtype="datetime64[us]"),
-                    "n_support": pd.Series(dtype="int64"),
-                }
-            )
-        out = pd.concat(outs, ignore_index=True)
+        g = (
+            df.groupby([*_EDGE, "ts_us"], sort=False)["n"]
+            .sum()
+            .reset_index()
+            .sort_values([*_EDGE, "ts_us"], ignore_index=True)
+        )
+        # an interval opens at an edge's first support row and after
+        # every gap > KG_ACTIVITY_GAP_US; its index counts from 1 per edge
+        first = (g[_EDGE] != g[_EDGE].shift()).any(axis=1)
+        opens = (first | (g["ts_us"].diff() > KG_ACTIVITY_GAP_US)).astype("int64")
+        g["interval_idx"] = opens.groupby([g[k] for k in _EDGE], sort=False).cumsum()
+        out = (
+            g.groupby([*_EDGE, "interval_idx"], sort=False)
+            .agg(start=("ts_us", "min"), end=("ts_us", "max"), n_support=("n", "sum"))
+            .reset_index()
+        )
         return pd.DataFrame(
             {
                 "subj_cui": out["subj_cui"],
                 "pred": out["pred"],
                 "obj_cui": out["obj_cui"],
-                "interval_idx": out["island"].astype("int64"),
+                "interval_idx": out["interval_idx"].astype("int64"),
                 "start_ts": out["start"].to_numpy(dtype="int64").astype("datetime64[us]"),
                 "end_ts": out["end"].to_numpy(dtype="int64").astype("datetime64[us]"),
                 "n_support": out["n_support"].astype("int64"),
             }
         )
 
-    return keyed_exchange(partials, ["subj_cui", "pred", "obj_cui"], islands, 8)
+    return keyed_exchange(_turn_partials(sf_dir), _EDGE, islands, 8)
 
 
 Q3_SEGMENT = "BUILDING"

@@ -333,13 +333,18 @@ def keyed_join(left, right, on: str, how: str, right_on: str | None = None,
     hashed under another dtype, or one that does not fit that type,
     raises. A null key never matches, as in SQL: ``inner`` drops it and
     ``left_anti`` keeps the left row. The result's rows come in no
-    particular order. A result with no rows keeps its columns only if
-    some partition held rows of both sides; otherwise it has none
+    particular order. A result with no rows keeps its columns when both
+    sides' schemas are known: each side's batches, and a materialized
+    side's block metadata, also send a zero-row blob of that schema to
+    bucket 0. A lazy side that yields no rows runs no batch, so a join
+    with it keeps only the other side's columns, or none
     (``keyed_exchange``)."""
     import numpy as np
     import pandas as pd
     import pyarrow as pa
     import pyarrow.compute as pc
+    import ray.data as rd
+    from ray.data.dataset import MaterializedDataset
 
     if how not in ("inner", "left_anti"):
         raise ValueError(f"keyed_join: how must be 'inner' or 'left_anti', not {how!r}")
@@ -358,11 +363,16 @@ def keyed_join(left, right, on: str, how: str, right_on: str | None = None,
             bucket, t = bucket[order], t.take(order)
             starts = np.flatnonzero(np.diff(bucket, prepend=-1))
             ends = np.r_[starts[1:], len(t)]
+            # plus a zero-row blob in bucket 0: the partition holding it
+            # sees both sides' schemas, so a result with no rows keeps
+            # its columns
             return pa.table({
-                "_bucket": pa.array(bucket[starts], pa.int64()),
-                "_side": pa.array(np.full(len(starts), side, np.int8)),
+                "_bucket": pa.array(np.r_[bucket[starts], 0], pa.int64()),
+                "_side": pa.array(np.full(len(starts) + 1, side, np.int8)),
                 "_rows": pa.array(
-                    [_ipc(t.slice(s, e - s)) for s, e in zip(starts, ends)], pa.binary()
+                    [_ipc(t.slice(s, e - s)) for s, e in zip(starts, ends)]
+                    + [_ipc(t.slice(0, 0))],
+                    pa.binary(),
                 ),
             })
 
@@ -391,10 +401,20 @@ def keyed_join(left, right, on: str, how: str, right_on: str | None = None,
         rt = rt.set_column(rt.schema.get_field_index(right_on), right_on, rk)
         return lt.join(rt, on, right_on, "inner", use_threads=False)
 
-    tagged = left.map_batches(tag(0, on), batch_format="pyarrow").union(
-        right.map_batches(tag(1, right_on), batch_format="pyarrow")
+    def tagged(ds, side: int, key: str):
+        fn = tag(side, key)
+        out = ds.map_batches(fn, batch_format="pyarrow")
+        # a side with no rows sends no batch through ``tag``; a
+        # materialized one still has its schema in its block metadata
+        schema = ds.schema() if isinstance(ds, MaterializedDataset) else None
+        if schema is not None and isinstance(schema.base_schema, pa.Schema):
+            out = out.union(rd.from_arrow(fn(schema.base_schema.empty_table())))
+        return out
+
+    return keyed_exchange(
+        tagged(left, 0, on).union(tagged(right, 1, right_on)),
+        ["_bucket"], join, num_partitions, label=f"join[{on}]",
     )
-    return keyed_exchange(tagged, ["_bucket"], join, num_partitions, label=f"join[{on}]")
 
 
 def _write_file(table, path: str) -> None:

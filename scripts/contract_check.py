@@ -11,9 +11,12 @@ from __future__ import annotations
 import hashlib
 import importlib.util
 import logging
+import os
 import sys
 
-sys.path.insert(0, "/root/repo")
+# the checkout this script lives in, for the driver and Ray's workers
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, REPO)
 
 import duckdb
 import pandas as pd
@@ -52,8 +55,6 @@ def main() -> None:
     # Point the fixture-backed oracle CTEs (kg family, CoNLL, replay
     # artifacts) at the SAME sf dir as the Ray side so sweeps at
     # sf0.001/sf0.1 compare like-for-like (read at __ray_entry__ exec).
-    import os
-
     os.environ["GRAFT_ORACLE_SF_DIR"] = sf
 
     import ray
@@ -61,9 +62,10 @@ def main() -> None:
     if not ray.is_initialized():
         ray.init(
             address="local",
-            num_cpus=16,
+            num_cpus=os.cpu_count(),
             include_dashboard=False,
             logging_level="ERROR",
+            runtime_env={"env_vars": {"PYTHONPATH": REPO}},
         )
     logging.getLogger("ray.data").setLevel(logging.ERROR)
     from ray.data import DataContext
@@ -71,7 +73,7 @@ def main() -> None:
     DataContext.get_current().enable_progress_bars = False
 
     spec = importlib.util.spec_from_file_location(
-        "_ray_entry", "/root/repo/__ray_entry__.py"
+        "_ray_entry", os.path.join(REPO, "__ray_entry__.py")
     )
     mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mod)

@@ -9,9 +9,12 @@ pipelines under ``exchange_metering()`` and prints per-exchange
 from __future__ import annotations
 
 import json
+import os
 import sys
 
-sys.path.insert(0, "/root/repo")
+# the checkout this script lives in, for the driver and Ray's workers
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, REPO)
 
 
 def main() -> None:
@@ -25,6 +28,7 @@ def main() -> None:
         ray.init(
             address="local", num_cpus=32, include_dashboard=False,
             logging_level="ERROR",
+            runtime_env={"env_vars": {"PYTHONPATH": REPO}},
         )
     logging.getLogger("ray.data").setLevel(logging.ERROR)
     from ray.data import DataContext

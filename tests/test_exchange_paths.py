@@ -204,7 +204,8 @@ def test_keyed_join_equals_duckdb(ray_session, monkeypatch, threshold, how, case
     same tables: many-to-many keys, keys on one side only, an empty
     side, null keys (which never match) and an int32 key joined to an
     int64 key (hashed under one dtype, or equal keys land apart). The
-    result keeps the left columns' Arrow types, right payload after."""
+    result keeps the left columns' Arrow types, right payload after,
+    also when it has no rows."""
     import duckdb
     import ray.data as rd
 
@@ -221,12 +222,12 @@ def test_keyed_join_equals_duckdb(ray_session, monkeypatch, threshold, how, case
     con.register("l", l)
     con.register("r", r)
     want = con.execute(_JOIN_SQL[how]).arrow()
-    if want.num_rows == 0:
-        assert len(got) == 0
-        return
-    assert want.num_rows > 0 and len(got) == want.num_rows
+    assert len(got) == want.num_rows
+    # an empty result keeps its columns too
     assert out.schema().names == want.column_names
     assert out.schema().types == l.schema.types + ([pa.string()] if how == "inner" else [])
+    if want.num_rows == 0:
+        return
     cols = want.column_names
     pd.testing.assert_frame_equal(
         got[cols].sort_values(cols, ignore_index=True),

@@ -210,6 +210,50 @@ def test_node_provenance_consistent_with_kg_nodes(ray_session):
     assert (prov["first_ts"] <= prov["last_ts"]).all()
 
 
+def test_annotation_cache_carries_each_turns_ts(ray_session, tiny_fixture):
+    """Every annotation-cache row is one input turn and carries that
+    turn's own timestamp as epoch-µs ``ts_us``, also where a text
+    recurs at a different time (annotate tags each distinct text once,
+    so a value taken per text would be wrong there)."""
+    from biomedical_ner_ray.state.manifest import list_parquet_files
+
+    ann_dir, _ = Q._annotations_cache(tiny_fixture["dir"])
+    cached = pq.read_table(
+        list_parquet_files(ann_dir), columns=["conv_id", "turn_idx", "ts_us"]
+    ).to_pandas()
+    turns = pq.read_table(
+        list_parquet_files(tiny_fixture["transcripts"]),
+        columns=["conv_id", "turn_idx", "text", "ts"],
+    ).to_pandas()
+    turns["ts_us"] = turns["ts"].to_numpy(dtype="datetime64[us]").astype("int64")
+    m = turns.merge(cached, on=["conv_id", "turn_idx"], how="outer", indicator=True)
+    assert len(cached) == len(turns)
+    assert (m["_merge"] == "both").all()
+    assert (m["ts_us_x"] == m["ts_us_y"]).all()
+    # load-bearing: some text recurs with different timestamps
+    assert (turns.groupby("text")["ts_us"].nunique() > 1).any()
+
+
+def test_temporal_queries_join_no_timestamps():
+    """The six temporal-KG queries read each turn's ts from the
+    annotation cache (``_turn_partials``): none reads the transcripts
+    or runs a turn-keyed exchange."""
+    import inspect
+
+    for q in (
+        Q.kg_edge_provenance,
+        Q.kg_node_provenance,
+        Q.kg_snapshot_edges,
+        Q.kg_edge_churn,
+        Q.kg_decay_edges,
+        Q.kg_edge_activity_intervals,
+    ):
+        src = inspect.getsource(q)
+        assert "_turn_partials(sf_dir" in src, q.__name__
+        assert "_transcripts_ds" not in src, q.__name__
+        assert '["conv_id", "turn_idx"]' not in src, q.__name__
+
+
 def test_ktruss_planted_exact(ray_session, tmp_path, monkeypatch):
     """4-truss on a planted graph: a 4-clique (every edge in 2
     triangles) survives; a triangle glued to it by one shared vertex
