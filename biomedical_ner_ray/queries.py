@@ -189,15 +189,34 @@ def _turn_partials(sf_dir: str, kind: str = "triples"):
 
 
 def _corpus_minmax_us(sf_dir: str) -> tuple[int, int]:
-    """Exact corpus (min_ts, max_ts) in epoch-µs: one aggregate over the
-    annotation cache's ``ts_us`` (every turn has a cache row)."""
+    """Exact corpus (min_ts, max_ts) in epoch-µs, from the row-group
+    statistics of the annotation cache's ``ts_us`` (every turn has a
+    cache row): footers only, no Ray Data execution. A row group of
+    only nulls is skipped; one with values but no statistics raises."""
     from .state.manifest import list_parquet_files
 
     ann_dir, _ = _annotations_cache(sf_dir)
-    mm = rd.read_parquet(list_parquet_files(ann_dir), columns=["ts_us"]).aggregate(
-        Min("ts_us"), Max("ts_us")
-    )
-    return int(mm["min(ts_us)"]), int(mm["max(ts_us)"])
+    lo = hi = None
+    for f in list_parquet_files(ann_dir):
+        md = pq.ParquetFile(f).metadata
+        for i in range(md.num_row_groups):
+            rg = md.row_group(i)
+            col = next(
+                rg.column(j) for j in range(rg.num_columns)
+                if rg.column(j).path_in_schema == "ts_us"
+            )
+            st = col.statistics
+            if rg.num_rows == 0 or (
+                st is not None and st.has_null_count and st.null_count == rg.num_rows
+            ):
+                continue
+            if st is None or not st.has_min_max:
+                raise ValueError(f"{f}: row group {i} has no ts_us min/max statistics")
+            lo = st.min if lo is None else min(lo, st.min)
+            hi = st.max if hi is None else max(hi, st.max)
+    if lo is None:
+        raise ValueError(f"no ts_us values in the annotation cache {ann_dir!r}")
+    return int(lo), int(hi)
 
 
 def _first_row_len(block_refs, col: str) -> int:

@@ -1,8 +1,13 @@
-"""Vectorized explode (flat_map) stages over nested annotation rows.
+"""Vectorized explode (flat_map) of nested annotation rows.
 
 ``ds.flat_map(row_fn)`` is per-row Python — too slow for a hot path
-(ray_guide pitfalls). These stages do the same with pure pyarrow kernels:
-``list_parent_indices`` + ``flatten`` + ``take``, zero Python per row.
+(ray_guide pitfalls). ``explode_mentions`` / ``explode_triples`` do the
+same with pure pyarrow kernels: ``list_parent_indices`` + ``flatten`` +
+``take``, zero Python per row. The KG pipeline calls them inside its
+annotate bucket sink, on each write task's annotated blocks, so the
+mention and triple tables cost no Ray Data execution of their own;
+``mentions_stage`` / ``triples_stage`` map them over a Dataset for the
+queries and ingest.
 """
 
 from __future__ import annotations

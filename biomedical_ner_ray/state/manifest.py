@@ -49,9 +49,28 @@ def read_manifest(out_dir: str) -> dict | None:
         return json.load(f)
 
 
+def manifest_outputs(out_dir: str, m: dict, kind: str) -> list[str]:
+    """Paths of the ``kind`` files a manifest lists in ``outputs``
+    (stored relative to ``out_dir``, so a moved tree stays valid)."""
+    return [
+        os.path.normpath(os.path.join(out_dir, p))
+        for p in m.get("outputs", {}).get(kind, [])
+    ]
+
+
 def is_complete(out_dir: str, fp: str) -> bool:
+    """The manifest's fingerprint is ``fp`` and every file it lists in
+    ``outputs`` exists."""
     m = read_manifest(out_dir)
-    return m is not None and m.get("fingerprint") == fp
+    return (
+        m is not None
+        and m.get("fingerprint") == fp
+        and all(
+            os.path.exists(f)
+            for kind in m.get("outputs", {})
+            for f in manifest_outputs(out_dir, m, kind)
+        )
+    )
 
 
 def parquet_row_count(out_dir: str) -> int:
@@ -75,7 +94,11 @@ def run_stage(
     """Run one resumable stage.
 
     ``build_and_write(tmp_dir)`` must write the stage's Parquet output into
-    ``tmp_dir``. Returns the manifest dict; ``manifest["skipped"]`` tells
+    ``tmp_dir``. If it returns a dict, its items go into the manifest,
+    written once with the rest: e.g. ``counters``, or ``outputs``
+    (kind → paths relative to ``out_dir``) for files a stage writes
+    outside ``out_dir``; the stage is complete only while they all
+    exist. Returns the manifest dict; ``manifest["skipped"]`` tells
     whether the stage was resumed from a previous run.
     """
     if is_complete(out_dir, fp):
@@ -135,7 +158,7 @@ def run_stage(
                 shutil.rmtree(tmp_dir)
             os.makedirs(tmp_dir, exist_ok=True)
             t0 = time.perf_counter()
-            build_and_write(tmp_dir)
+            extra = build_and_write(tmp_dir)
             wall = time.perf_counter() - t0
             manifest = {
                 "stage": name,
@@ -145,6 +168,8 @@ def run_stage(
                 "counters": counters or {},
                 "completed_at": time.time(),
             }
+            if isinstance(extra, dict):
+                manifest.update(extra)
             with open(os.path.join(tmp_dir, MANIFEST_NAME), "w") as f:
                 json.dump(manifest, f)
             os.rename(tmp_dir, out_dir)

@@ -234,6 +234,24 @@ def test_annotation_cache_carries_each_turns_ts(ray_session, tiny_fixture):
     assert (turns.groupby("text")["ts_us"].nunique() > 1).any()
 
 
+def test_corpus_minmax_from_footers(tmp_path, monkeypatch):
+    """``_corpus_minmax_us`` reads the cache's ``ts_us`` row-group
+    statistics: a row group of only nulls is skipped, and one with
+    values but no statistics raises."""
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    ts = pa.array([None, None, 9, 5, 1, None], pa.int64())
+    pq.write_table(pa.table({"x": range(6), "ts_us": ts}), cache / "a.parquet",
+                   row_group_size=2)
+    monkeypatch.setattr(Q, "_annotations_cache", lambda sf: (str(cache), []))
+    assert Q._corpus_minmax_us("unused") == (1, 9)
+
+    pq.write_table(pa.table({"ts_us": pa.array([3], pa.int64())}),
+                   cache / "b.parquet", write_statistics=False)
+    with pytest.raises(ValueError, match="no ts_us min/max statistics"):
+        Q._corpus_minmax_us("unused")
+
+
 def test_temporal_queries_join_no_timestamps():
     """The six temporal-KG queries read each turn's ts from the
     annotation cache (``_turn_partials``): none reads the transcripts

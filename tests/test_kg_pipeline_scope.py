@@ -113,3 +113,56 @@ def test_stub_scoped_to_the_run(ray_session, tiny_fixture, tmp_path,
         assert stub is not None and not hasattr(stub, "__file__")
         assert isinstance(stub.HTTPFileSystem, type)
     assert HTTP not in sys.modules
+
+
+def test_executions_per_build(ray_session, tiny_fixture, tmp_path, monkeypatch):
+    """A build runs the sort's one ``write_parquet``, one
+    ``write_datasink`` per built annotate bucket (which also writes the
+    bucket's mentions, triples and node/edge partials), and one keyed
+    exchange each for nodes and edges; ``mentions`` and ``triples`` are
+    no stages of their own. Only calls made outside another consumer
+    count (``write_datasink`` materializes internally)."""
+    import threading
+    from collections import Counter
+
+    import ray.data
+
+    from biomedical_ner_ray.pipelines import kg
+    from biomedical_ner_ray.state import manifest as mf
+
+    consumers = ("materialize", "to_pandas", "count", "write_parquet",
+                 "write_datasink", "take", "take_all", "to_arrow_refs",
+                 "unique", "sum", "aggregate")
+    calls, stages, depth = Counter(), [], threading.local()
+
+    def counted(name, real):
+        def wrapper(*args, **kwargs):
+            outer = getattr(depth, "n", 0) == 0
+            if outer:
+                calls[name] += 1
+            depth.n = getattr(depth, "n", 0) + 1
+            try:
+                return real(*args, **kwargs)
+            finally:
+                depth.n -= 1
+
+        return wrapper
+
+    for name in consumers:
+        monkeypatch.setattr(ray.data.Dataset, name,
+                            counted(name, getattr(ray.data.Dataset, name)))
+    real_stage = mf.run_stage
+
+    def run_stage(name, *args, **kwargs):
+        stages.append(name)
+        return real_stage(name, *args, **kwargs)
+
+    monkeypatch.setattr(mf, "run_stage", run_stage)
+    res = kg.run_kg_pipeline(tiny_fixture["transcripts"],
+                             tiny_fixture["alias_dict"], str(tmp_path / "out"))
+    built = res["annotations"]["built_buckets"]
+    assert built > 0 and res["edges"]["rows"] > 0
+    assert calls["write_parquet"] == 1
+    assert calls["write_datasink"] == built
+    assert calls["materialize"] == 2  # the nodes and edges exchanges
+    assert not {"mentions", "triples"} & set(stages)
